@@ -203,11 +203,18 @@ def _cmd_verify_caps(args) -> int:
     return 0 if passed else 1
 
 
+def _default_threads() -> int:
+    """CPUs this process may run on, where the platform reports them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="primary output file")
     common.add_argument("--json", default=None, help="write the JSON report here instead of stdout")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    common.add_argument("--threads", type=int, default=_default_threads(),
                         help="worker threads for direction scans (results are thread-count independent)")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")

@@ -22,14 +22,13 @@ from .orthopoly import legendre_eval
 from .sphere import (
     Cap,
     GOLDEN_RATIO_CONJUGATE,
+    TWO_PI,
     PointSet,
     Provenance,
     cap_measure,
     radical_inverse,
     unit_vector,
 )
-
-TWO_PI = 2.0 * np.pi
 
 DRIVER_KINDS = ("van_der_corput_base2", "halton_2_3", "kronecker_golden")
 

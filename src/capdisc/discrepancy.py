@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import Cap, PointSet, cap_measure, fibonacci_sphere, generate_uniform
-
-TWO_PI = 2.0 * np.pi
+from .sphere import TWO_PI, Cap, PointSet, cap_measure, fibonacci_sphere, generate_uniform
 
 # Matches the brute-force perturbation scheme used to validate the sweep.
 _EDGE_EPS = 1e-9
 
 _SCAN_CHUNK = 256
+
+# Arc starts evaluated per block in the arc sweep; keeps its memory O(N).
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,16 +80,6 @@ def count_in_arcs(psi_sorted: np.ndarray, theta0, a: float) -> np.ndarray:
     return np.where(wrapped, (n - lo_rank) + hi_rank, hi_rank - lo_rank)
 
 
-def _sweep_eval_points(psi: np.ndarray, a: float) -> np.ndarray:
-    starts = psi
-    entries = psi - a
-    entries = np.where(entries < 0.0, entries + 1.0, entries)
-    base = np.concatenate([starts, entries])
-    pts = np.concatenate([base, base + _EDGE_EPS, base - _EDGE_EPS])
-    pts = np.mod(pts, 1.0)
-    return np.where(pts >= 1.0, 0.0, pts)
-
-
 def arc_discrepancy_fixed_length(ps: PointSet, a: float) -> DiscrepancyReport:
     """Exact sup over starting angles of |empirical([t0, t0+2*pi*a)) - a|.
 
@@ -106,14 +97,25 @@ def arc_discrepancy_fixed_length(ps: PointSet, a: float) -> DiscrepancyReport:
 
 def _arc_sweep(ps: PointSet, a: float, family: str) -> DiscrepancyReport:
     psi = np.sort(ps.turns())
-    evals = _sweep_eval_points(psi, a)
-    counts = count_in_arcs(psi, evals, a)
-    dev = np.abs(counts / ps.size - a)
-    best = int(np.argmax(dev))
-    witness = {"theta0": float(TWO_PI * evals[best]), "length": float(TWO_PI * a)}
+    entries = psi - a
+    entries = np.where(entries < 0.0, entries + 1.0, entries)
+    # Evaluation order: starts, entries, then both again at +eps and -eps.
+    # The strict ">" keeps the first maximum in that order as the witness.
+    # Adding 0.0 only turns -0.0 into 0.0, which np.mod does anyway.
+    best_val, best_start = -1.0, 0.0
+    for offset in (0.0, _EDGE_EPS, -_EDGE_EPS):
+        for base in (psi, entries):
+            for lo in range(0, base.size, _SWEEP_BLOCK):
+                pts = np.mod(base[lo : lo + _SWEEP_BLOCK] + offset, 1.0)
+                pts = np.where(pts >= 1.0, 0.0, pts)
+                dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
+                i = int(np.argmax(dev))
+                if dev[i] > best_val:
+                    best_val, best_start = float(dev[i]), float(pts[i])
+    witness = {"theta0": TWO_PI * best_start, "length": float(TWO_PI * a)}
     return DiscrepancyReport(
         family=family,
-        value=float(dev[best]),
+        value=best_val,
         witness=witness,
         method="exact",
         N=ps.size,

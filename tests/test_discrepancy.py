@@ -2,6 +2,7 @@
 and the telescoping identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from capdisc import (
     rotate,
     telescoping_check,
 )
+from capdisc.discrepancy import count_in_arcs
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -57,6 +59,19 @@ def brute_arc_discrepancy(psi, a):
             candidates.append(t0 % 1.0)
     n = len(psi)
     return max(abs(brute_count(psi, t0, a) / n - a) for t0 in candidates)
+
+
+def concatenated_arc_sweep(ps, a):
+    """The arc sweep evaluated as one 6N array: (value, theta0) reference."""
+    psi = np.sort(ps.turns())
+    entries = psi - a
+    entries = np.where(entries < 0.0, entries + 1.0, entries)
+    base = np.concatenate([psi, entries])
+    pts = np.mod(np.concatenate([base, base + EPS, base - EPS]), 1.0)
+    pts = np.where(pts >= 1.0, 0.0, pts)
+    dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
+    best = int(np.argmax(dev))
+    return float(dev[best]), float(TWO_PI * pts[best]), int(np.count_nonzero(dev == dev[best]))
 
 
 def brute_circle_extreme(psi):
@@ -132,6 +147,37 @@ def test_arc_sweep_matches_brute_force_random():
         got = arc_discrepancy_fixed_length(ps, a).value
         want = brute_arc_discrepancy(np.sort(ps.turns()), a)
         assert got == want, (trial, n, a)
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 3])
+@pytest.mark.parametrize("kind", ["random", "duplicates", "kronecker"])
+def test_arc_sweep_matches_concatenated_sweep(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        ps = pointset_from_turns(rng.uniform(0.0, 1.0, n))
+    elif kind == "duplicates":
+        ps = pointset_from_turns(rng.integers(0, 997, n) / 997)
+    else:
+        ps = generate_uniform(2, n, "kronecker_s1")
+    for a in (1.0 / 3.0, 0.3, 0.25, 0.01):
+        rep = arc_discrepancy_fixed_length(ps, a)
+        value, theta0, ties = concatenated_arc_sweep(ps, a)
+        assert rep.value == value, (kind, n, a)
+        assert rep.witness["theta0"] == theta0, (kind, n, a)
+        if kind == "kronecker":
+            assert ties > 1  # the witness is the first of several maxima
+
+
+def test_arc_sweep_memory_is_linear_with_small_constant():
+    n = 2**20
+    ps = pointset_from_turns(np.random.default_rng(23).uniform(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        arc_discrepancy_fixed_length(ps, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 8  # below 8 float64 arrays of length N
 
 
 def test_arc_sweep_validation():

@@ -24,6 +24,7 @@ from capdisc import (
     save_points,
     unit_vector,
 )
+from capdisc.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -201,6 +202,9 @@ def test_pointset_validation():
         PointSet(np.zeros((3, 2)), Provenance("zeros", 0))
     with pytest.raises(ValueError):
         PointSet(np.ones((0, 2)), Provenance("empty", 0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PointSet([[bad, 1.0], [1.0, 0.0]], Provenance("non-finite", 0))
     ps = PointSet([[3.0, 4.0]], Provenance("scaled", 0))
     assert np.allclose(ps.coords, [[0.6, 0.8]])
     assert len(ps.points) == 1
@@ -237,3 +241,89 @@ def test_csv_malformed_header(tmp_path):
     path.write_text("dim=2 generator=x seed=0\n1,0\n")
     with pytest.raises(ValueError):
         load_points(path)
+
+
+def reference_csv(ps):
+    """Per-value writer: the CSV format that save_points must reproduce."""
+    header = f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n"
+    rows = (",".join(format(x, ".17g") for x in row) + "\n" for row in ps.coords)
+    return (header + "".join(rows)).encode("utf-8")
+
+
+def edge_value_pointset():
+    rows = [
+        [-0.0, 1.0],
+        [5e-324, -1.0],
+        [1e-300, 1.0],
+        [0.1, math.sqrt(0.99)],
+        [1.0 - 2.0**-53, 1e-8],
+        [1.5e-5, -1.0],
+        [-1.2345678901234567e-7, 1.0],
+    ]
+    rng = np.random.default_rng(5)
+    rows += list(rng.standard_normal((40, 2)))
+    return PointSet(rows, Provenance("edge-values", 4))
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [edge_value_pointset(), generate_uniform(2, 65_537, "random", seed=11)],
+    ids=["edge-values", "partial-last-block"],
+)
+def test_csv_matches_reference_writer_and_reloads_bit_identical(tmp_path, ps):
+    path = tmp_path / "pts.csv"
+    save_points(ps, path)
+    assert path.read_bytes() == reference_csv(ps)
+    again = load_points(path)
+    assert again.coords.shape == ps.coords.shape
+    assert np.array_equal(again.coords.view(np.int64), ps.coords.view(np.int64))
+    assert again.provenance == ps.provenance
+
+
+def test_csv_edge_values_survive_normalization():
+    # the edge rows are unit to 1e-12, so PointSet keeps them bit for bit
+    coords = edge_value_pointset().coords
+    assert math.copysign(1.0, coords[0, 0]) == -1.0
+    assert coords[1, 0] == 5e-324
+    assert coords[4, 0] == 1.0 - 2.0**-53
+    assert "e-" in format(coords[5, 0], ".17g")
+
+
+def test_csv_skips_blank_whitespace_and_crlf_lines(tmp_path):
+    path = tmp_path / "loose.csv"
+    path.write_bytes(
+        b"# dim=2 generator=loose seed=3\r\n\n1,0\r\n  \n\t\r\n0,-1\r\n\n \t "
+    )
+    ps = load_points(path)
+    assert ps.coords.tolist() == [[1.0, 0.0], [0.0, -1.0]]
+    assert ps.provenance == Provenance("loose", 3)
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        ("1,0\n0,1,0\n", "number of columns"),
+        ("1,0\n0\n", "number of columns"),
+        ("0\n1\n", "declared dim"),
+        ("1,\n", "could not convert"),
+        (",1\n", "could not convert"),
+        ("1,abc\n", "could not convert"),
+        ("# comment\n1,0\n", "could not convert"),
+        ("1,0\n# trailing, comment\n", "could not convert"),
+        ("nan,1\n", "non-finite"),
+        ("1,inf\n", "non-finite"),
+        ("", "no point rows"),
+        ("\n  \n", "no point rows"),
+    ],
+    ids=["ragged-long", "ragged-short", "too-few-columns", "empty-last", "empty-first",
+         "token", "comment-first", "comment-later", "nan", "inf", "no-rows", "blank-rows"],
+)
+def test_csv_malformed_body(tmp_path, capsys, body, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text("# dim=2 generator=bad seed=0\n" + body)
+    with pytest.raises(ValueError, match=reason):
+        load_points(path)
+    assert main(["disc", "--in", str(path), "--family", "circle", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capdisc: error:") and reason in err
+    assert "Traceback" not in err
