@@ -2,8 +2,6 @@
 discrepancy machinery to verify both halves of the claim numerically."""
 
 from .cap_transform import (
-    CapEigenvalue,
-    cap_eigenvalue,
     funk_hecke_lambda,
     odd_mean_zero_check,
     transform_apply,
@@ -14,7 +12,6 @@ from .densities import (
     PlanarRationalDensity,
     ZonalDensity,
     generate_qud,
-    inverse_cdf,
     marginal_cdf,
     planar_arc_probability,
     positivity_margin,

@@ -9,7 +9,6 @@ and it vanishes exactly at the freak heights for degree k-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,8 +17,6 @@ from scipy.special import beta as _beta_fn
 from .orthopoly import legendre_eval
 
 __all__ = [
-    "CapEigenvalue",
-    "cap_eigenvalue",
     "funk_hecke_lambda",
     "odd_mean_zero_check",
     "transform_apply",
@@ -106,18 +103,3 @@ def transform_apply(n: int, k: int, s: float, axis, u) -> float:
         raise ValueError("dimension mismatch between axis, u and n")
     dot = float(np.clip(np.dot(axis, u), -1.0, 1.0))
     return funk_hecke_lambda(n, k, s) * legendre_eval(n, k, dot)
-
-
-@dataclass(frozen=True)
-class CapEigenvalue:
-    """A cap-transform eigenvalue together with the parameters producing it."""
-
-    dim: int
-    degree: int
-    height: float
-    value: float
-
-
-def cap_eigenvalue(n: int, k: int, s: float) -> CapEigenvalue:
-    """funk_hecke_lambda packaged with its parameters."""
-    return CapEigenvalue(dim=n, degree=k, height=float(s), value=funk_hecke_lambda(n, k, float(s)))

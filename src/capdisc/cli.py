@@ -30,11 +30,11 @@ from .discrepancy import (
     arc_discrepancy_fixed_length,
     cap_discrepancy_fixed_height,
     circle_discrepancy,
+    direction_grid,
     telescoping_check,
 )
 from .orthopoly import freak_heights
 from .sphere import Cap, cap_measure, load_points, save_points
-from .discrepancy import _direction_grid
 
 
 def _json_fragment(obj) -> str:
@@ -179,7 +179,7 @@ def _cmd_verify_caps(args) -> int:
     axis = _parse_axis(args.axis, args.n)
     density = ZonalDensity(dim=args.n, degree=args.k, coefficient=args.c, axis=axis)
     target = cap_measure(args.n, args.s)
-    dirs = _direction_grid(args.n, args.M)
+    dirs = direction_grid(args.n, args.M)
     worst = -1.0
     worst_dir = dirs[0]
     for u in dirs:

@@ -34,6 +34,10 @@ DRIVER_KINDS = ("van_der_corput_base2", "halton_2_3", "kronecker_golden")
 
 _POSITIVITY_GRID = 100_000
 
+# Inverse-CDF transport: bisection halvings, then Newton steps.
+_BISECT_STEPS = 52
+_NEWTON_STEPS = 3
+
 
 @dataclass(frozen=True)
 class Driver:
@@ -198,70 +202,18 @@ def marginal_cdf(d: ZonalDensity, t: float) -> float:
     return 1.0 - cap_measure(d.dim, t) - d.coefficient * lam
 
 
-def inverse_cdf(cdf, y: float, lo: float, hi: float, derivative=None) -> float:
-    """Invert a strictly increasing CDF on [lo, hi] at level y.
-
-    Bisection narrows the bracket below 1e-8, then Newton polishing (when a
-    derivative is supplied; otherwise further bisection) drives
-    |cdf(x) - y| under 1e-12.  Newton steps leaving the bracket are
-    rejected.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"quantile level must lie in [0, 1], got {y}")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if y <= cdf(lo):
-        return lo
-    if y >= cdf(hi):
-        return hi
-    a, b = lo, hi
-    while b - a > 1e-8:
-        mid = 0.5 * (a + b)
-        if cdf(mid) < y:
-            a = mid
-        else:
-            b = mid
-    x = 0.5 * (a + b)
-    if derivative is None:
-        for _ in range(40):
-            if b - a <= 0.0:
-                break
-            mid = 0.5 * (a + b)
-            if cdf(mid) < y:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-    for _ in range(8):
-        err = cdf(x) - y
-        if abs(err) < 1e-13:
-            break
-        slope = derivative(x)
-        if slope <= 0.0:
-            break
-        step = x - err / slope
-        if not a <= step <= b:
-            step = 0.5 * (a + b)
-        if err > 0.0:
-            b = x
-        else:
-            a = x
-        x = step
-    return x
-
-
-def _invert_monotone_vec(fvec, dvec, y, lo, hi, iters=52, polish=3):
+def _invert_monotone_vec(fvec, dvec, y, lo, hi):
     """Vectorized bisection plus Newton polish for increasing CDFs."""
     y = np.asarray(y, dtype=float)
     a = np.full(y.shape, lo)
     b = np.full(y.shape, hi)
-    for _ in range(iters):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (a + b)
         less = fvec(mid) < y
         a = np.where(less, mid, a)
         b = np.where(less, b, mid)
     x = 0.5 * (a + b)
-    for _ in range(polish):
+    for _ in range(_NEWTON_STEPS):
         slope = np.maximum(dvec(x), 1e-300)
         x = np.clip(x - (fvec(x) - y) / slope, lo, hi)
     return x

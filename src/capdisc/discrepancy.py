@@ -64,6 +64,14 @@ def empirical_cap_fraction(ps: PointSet, cap: Cap) -> float:
     return count / ps.size
 
 
+def _count_ranks(psi_sorted, lo, hi, wrapped):
+    # Points in [lo, hi), or in [lo, 1) and [0, hi) where wrapped, by rank
+    # differences on the sorted turns.
+    lo_rank = np.searchsorted(psi_sorted, lo, side="left")
+    hi_rank = np.searchsorted(psi_sorted, hi, side="left")
+    return np.where(wrapped, (psi_sorted.size - lo_rank) + hi_rank, hi_rank - lo_rank)
+
+
 def count_in_arcs(psi_sorted: np.ndarray, theta0, a: float) -> np.ndarray:
     """Points in the half-open arcs [theta0, theta0 + a), everything in turns.
 
@@ -73,11 +81,8 @@ def count_in_arcs(psi_sorted: np.ndarray, theta0, a: float) -> np.ndarray:
     """
     lo = np.atleast_1d(np.asarray(theta0, dtype=float))
     hi = lo + a
-    lo_rank = np.searchsorted(psi_sorted, lo, side="left")
-    n = psi_sorted.size
     wrapped = hi >= 1.0
-    hi_rank = np.searchsorted(psi_sorted, np.where(wrapped, hi - 1.0, hi), side="left")
-    return np.where(wrapped, (n - lo_rank) + hi_rank, hi_rank - lo_rank)
+    return _count_ranks(psi_sorted, lo, np.where(wrapped, hi - 1.0, hi), wrapped)
 
 
 def arc_discrepancy_fixed_length(ps: PointSet, a: float) -> DiscrepancyReport:
@@ -160,7 +165,14 @@ def circle_discrepancy(ps: PointSet) -> DiscrepancyReport:
     )
 
 
-def _direction_grid(n: int, M: int) -> np.ndarray:
+def direction_grid(n: int, M: int) -> np.ndarray:
+    """M deterministic unit directions in R^n.
+
+    A Fibonacci spiral on S^2 for n = 3, Halton points mapped to the
+    sphere otherwise.
+    """
+    if M < 1:
+        raise ValueError(f"need at least one direction, got M={M}")
     if n == 3:
         return fibonacci_sphere(M)
     return generate_uniform(n, M, "halton_inverse").coords
@@ -225,7 +237,7 @@ def cap_discrepancy_fixed_height(
         raise ValueError("need at least one direction")
     n = ps.dim
     target = cap_measure(n, s)
-    dirs = _direction_grid(n, M) if directions is None else np.asarray(directions, dtype=float)
+    dirs = direction_grid(n, M) if directions is None else np.asarray(directions, dtype=float)
     coords = ps.coords
 
     best_val, best_idx = _deviation_scan(coords, dirs, s, target, threads)
@@ -285,11 +297,8 @@ def telescoping_check(ps: PointSet, a: float, m: int) -> TelescopeResult:
     pos = np.arange(m + 1, dtype=float) * a
     frac = pos - np.floor(pos)
     lo, hi = frac[:-1], frac[1:]
-    lo_rank = np.searchsorted(psi, lo, side="left")
-    hi_rank = np.searchsorted(psi, hi, side="left")
     wrapped = lo > hi
-    counts = np.where(wrapped, (n - lo_rank) + hi_rank, hi_rank - lo_rank)
-    total = int(counts.sum())
+    total = int(_count_ranks(psi, lo, hi, wrapped).sum())
 
     # Wrap count of the endpoint walk; equals floor(m*a) in exact arithmetic.
     k = int(np.count_nonzero(wrapped))

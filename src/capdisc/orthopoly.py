@@ -22,6 +22,9 @@ DEDUP_TOL = 1e-10
 # Dot products of rotated unit vectors can overshoot [-1, 1] by a few ulp.
 _DOMAIN_SLACK = 1e-12
 
+# Newton steps applied to each Golub-Welsch root.
+_POLISH_STEPS = 2
+
 
 def _check_dim_degree(d, k):
     if d < 2:
@@ -62,11 +65,9 @@ def legendre_eval(d: int, k: int, t):
 
 
 def _eval_with_derivative(d, k, t):
-    """P_k and P_k' at scalar t, by differentiating the recurrence."""
-    if k == 0:
-        return 1.0, 0.0
-    p_prev, dp_prev = 1.0, 0.0
-    p, dp = t, 1.0
+    """P_k and P_k' at each entry of the array t, by differentiating the recurrence."""
+    p_prev, dp_prev = np.ones_like(t), np.zeros_like(t)
+    p, dp = t, np.ones_like(t)
     for j in range(1, k):
         denom = j + d - 2
         p_next = ((2 * j + d - 2) * t * p - j * p_prev) / denom
@@ -75,68 +76,42 @@ def _eval_with_derivative(d, k, t):
     return p, dp
 
 
-def _newton_polish(d, k, roots, steps=2):
-    out = np.array(roots, dtype=float)
-    for i, r in enumerate(out):
-        x = r
-        for _ in range(steps):
-            p, dp = _eval_with_derivative(d, k, x)
-            if dp == 0.0:
-                break
-            x = min(1.0, max(-1.0, x - p / dp))
-        out[i] = x
-    return out
+def _newton_polish(d, k, roots):
+    # A root whose derivative vanishes keeps its value from then on.
+    x = np.array(roots, dtype=float)
+    moving = np.ones(x.shape, dtype=bool)
+    for _ in range(_POLISH_STEPS):
+        p, dp = _eval_with_derivative(d, k, x)
+        moving &= dp != 0.0
+        step = x - p / np.where(moving, dp, 1.0)
+        x = np.where(moving, np.clip(step, -1.0, 1.0), x)
+    return x
 
 
 def _roots_eigen(d, k):
     # Golub-Welsch: eigenvalues of the symmetrized Jacobi matrix of the
-    # recurrence t P_j = [(j+d-2) P_{j+1} + j P_{j-1}] / (2j+d-2).
-    j = np.arange(k - 1, dtype=float)
-    off = np.sqrt((j + d - 2) * (j + 1) / ((2 * j + d - 2) * (2 * j + d)))
-    mat = np.diag(off, 1) + np.diag(off, -1) if k > 1 else np.zeros((1, 1))
-    return np.sort(np.linalg.eigvalsh(mat)) if k > 1 else np.zeros(1)
+    # recurrence t P_j = [(j+d-2) P_{j+1} + j P_{j-1}] / (2j+d-2).  The
+    # squared j = 0 entry (d-2)/((d-2) d) is 0/0 at d = 2; its limit 1/d
+    # is the same double for every d >= 3.
+    if k == 1:
+        return np.zeros(1)
+    j = np.arange(1, k - 1, dtype=float)
+    sq = (j + d - 2) * (j + 1) / ((2 * j + d - 2) * (2 * j + d))
+    off = np.sqrt(np.concatenate(([1.0 / d], sq)))
+    return np.sort(np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)))
 
 
-def _roots_bisection(d, k):
-    # Build roots degree by degree: roots of P_j strictly interlace those
-    # of P_{j-1}, so bracketing with [-1, prev roots, 1] always works.
-    roots = np.zeros(1)
-    for j in range(2, k + 1):
-        brackets = np.concatenate(([-1.0], roots, [1.0]))
-        new = np.empty(j)
-        for i in range(j):
-            lo, hi = brackets[i], brackets[i + 1]
-            flo = legendre_eval(d, j, lo)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fmid = legendre_eval(d, j, mid)
-                if flo * fmid <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            new[i] = 0.5 * (lo + hi)
-        roots = new
-    return roots
-
-
-def legendre_roots(d: int, k: int, method: str = "eigen") -> np.ndarray:
+def legendre_roots(d: int, k: int) -> np.ndarray:
     """All k roots of the dimension-d Legendre polynomial, sorted ascending.
 
-    method="eigen" diagonalizes the symmetric Jacobi matrix of the
-    recurrence (preferred); method="bisection" brackets sign changes using
-    root interlacing.  Both are polished with Newton steps so residuals
-    stay below 1e-12.
+    Diagonalizes the symmetric Jacobi matrix of the recurrence
+    (Golub-Welsch), then polishes every root with Newton steps so
+    residuals stay below 1e-12.  Valid for every d >= 2.
     """
     _check_dim_degree(d, k)
     if k < 1:
         raise ValueError("root extraction needs degree >= 1")
-    if method == "eigen":
-        raw = _roots_eigen(d, k)
-    elif method == "bisection":
-        raw = _roots_bisection(d, k)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return np.sort(_newton_polish(d, k, raw))
+    return np.sort(_newton_polish(d, k, _roots_eigen(d, k)))
 
 
 @dataclass(frozen=True)

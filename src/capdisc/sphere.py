@@ -154,10 +154,6 @@ class PointSet:
     def size(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def points(self) -> list[np.ndarray]:
-        return [self.coords[i] for i in range(self.size)]
-
     def __len__(self):
         return self.size
 

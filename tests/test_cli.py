@@ -161,6 +161,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_caps_without_directions_exits_two(capsys):
+    for n in ("3", "4"):
+        for m in ("0", "-1"):
+            code = main(["verify-caps", "--n", n, "--k", "3", "--c", "0.8", "--s", S5,
+                         "--M", m, "--no-timestamp"])
+            err = capsys.readouterr().err
+            assert code == 2, (n, m)
+            assert "Traceback" not in err and "capdisc: error:" in err
+
+
 def test_byte_identical_reruns(tmp_path):
     out = tmp_path / "a.json"
     args = ["freak-heights", "--n", "3", "--max-degree", "8", "--no-timestamp",

@@ -14,12 +14,12 @@ from capdisc import (
     cap_measure,
     fibonacci_sphere,
     generate_qud,
-    inverse_cdf,
     marginal_cdf,
     planar_arc_probability,
     positivity_margin,
     zonal_cap_probability,
 )
+from capdisc.densities import _invert_monotone_vec, _zonal_cdf_dim3
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -196,19 +196,14 @@ def test_marginal_cdf_general_dim():
 
 def test_inverse_cdf():
     uniform = lambda th: th / TWO_PI
-    assert inverse_cdf(uniform, 0.0, 0.0, TWO_PI) == 0.0
-    assert inverse_cdf(uniform, 0.25, 0.0, TWO_PI) == pytest.approx(math.pi / 2.0, abs=1e-10)
+    flat = lambda th: np.full_like(th, 1.0 / TWO_PI)
+    x = _invert_monotone_vec(uniform, flat, [0.0, 0.25], 0.0, TWO_PI)
+    assert x == pytest.approx([0.0, math.pi / 2.0], abs=1e-10)
     d = zonal_density(c=0.8)
-    g = lambda t: marginal_cdf(d, t)
-    x = inverse_cdf(g, 0.55, -1.0, 1.0, derivative=lambda t: 0.5 * d.density_at_t(t))
-    assert abs(x) <= 1e-10
-    x2 = inverse_cdf(g, 0.55, -1.0, 1.0)
-    assert abs(x2) <= 1e-10
-    assert abs(g(x) - 0.55) < 1e-12
-    with pytest.raises(ValueError):
-        inverse_cdf(uniform, 1.5, 0.0, TWO_PI)
-    with pytest.raises(ValueError):
-        inverse_cdf(uniform, 0.5, 1.0, 0.0)
+    g = lambda t: _zonal_cdf_dim3(d, t)
+    x = _invert_monotone_vec(g, lambda t: 0.5 * d.density_at_t(t), [0.55], -1.0, 1.0)
+    assert abs(x[0]) <= 1e-10
+    assert abs(marginal_cdf(d, float(x[0])) - 0.55) < 1e-12
 
 
 def test_generate_planar_first_point_and_determinism():

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import eval_gegenbauer
 
 from capdisc import freak_heights, legendre_eval, legendre_roots
-from capdisc.orthopoly import MAX_DEGREE
+from capdisc.orthopoly import MAX_DEGREE, _newton_polish, _roots_eigen
 
 
 # Closed-form oracles for k <= 4, obtained by Gram-Schmidt against the
@@ -148,20 +148,54 @@ def test_roots_interlace():
                 assert outer[i] < inner[i] < outer[i + 1]
 
 
-def test_eigen_vs_bisection_vs_scipy():
+def test_eigen_vs_scipy():
     from scipy.special import roots_gegenbauer
 
-    for d in (3, 4, 5, 6):
-        for k in (2, 3, 5, 8, 11):
-            eig = legendre_roots(d, k, method="eigen")
-            bis = legendre_roots(d, k, method="bisection")
-            assert np.max(np.abs(eig - bis)) <= 1e-11
+    for d in (2, 3, 4, 5, 6):
+        for k in (1, 2, 3, 5, 8, 11, 40):
+            eig = legendre_roots(d, k)
             ref, _ = roots_gegenbauer(k, (d - 2) / 2)
-            assert np.max(np.abs(eig - np.sort(ref))) <= 1e-11
-    with pytest.raises(ValueError):
-        legendre_roots(3, 2, method="nope")
+            assert np.max(np.abs(eig - np.sort(ref))) <= 1e-11, (d, k)
+    # d = 2: Chebyshev roots cos((2i - 1) pi / 2k) in closed form
+    for k in (1, 2, 3, 4, 7, 16, 59, 200):
+        i = np.arange(1, k + 1)
+        closed = np.sort(np.cos((2 * i - 1) * np.pi / (2 * k)))
+        assert np.max(np.abs(legendre_roots(2, k) - closed)) <= 1e-14, k
     with pytest.raises(ValueError):
         legendre_roots(3, 0)
+
+
+def _scalar_polish(d, k, roots):
+    # The per-root Newton loop the array polish replaced, kept as an oracle.
+    def eval_with_derivative(t):
+        p_prev, dp_prev = 1.0, 0.0
+        p, dp = t, 1.0
+        for j in range(1, k):
+            denom = j + d - 2
+            p_next = ((2 * j + d - 2) * t * p - j * p_prev) / denom
+            dp_next = ((2 * j + d - 2) * (p + t * dp) - j * dp_prev) / denom
+            p_prev, dp_prev, p, dp = p, dp, p_next, dp_next
+        return p, dp
+
+    out = np.array(roots, dtype=float)
+    for i, r in enumerate(out):
+        x = float(r)
+        for _ in range(2):
+            p, dp = eval_with_derivative(x)
+            if dp == 0.0:
+                break
+            x = min(1.0, max(-1.0, x - p / dp))
+        out[i] = x
+    return out
+
+
+def test_array_polish_bit_identical_to_scalar_loop():
+    for d in (3, 4, 5, 7):
+        for k in (1, 2, 3, 4, 9, 24, 63, 128, 200):
+            raw = _roots_eigen(d, k)
+            got = _newton_polish(d, k, raw)
+            want = _scalar_polish(d, k, raw)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, k)
 
 
 def test_freak_heights_degree_two():

@@ -207,7 +207,7 @@ def test_pointset_validation():
             PointSet([[bad, 1.0], [1.0, 0.0]], Provenance("non-finite", 0))
     ps = PointSet([[3.0, 4.0]], Provenance("scaled", 0))
     assert np.allclose(ps.coords, [[0.6, 0.8]])
-    assert len(ps.points) == 1
+    assert len(ps) == 1
     with pytest.raises(ValueError):
         ps.coords[0, 0] = 2.0  # read-only storage
 
