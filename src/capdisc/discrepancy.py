@@ -16,12 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import TWO_PI, Cap, PointSet, cap_measure, fibonacci_sphere, generate_uniform
+from .sphere import (
+    TWO_PI,
+    Cap,
+    PointSet,
+    Provenance,
+    cap_measure,
+    fibonacci_sphere,
+    generate_uniform,
+)
 
 # Matches the brute-force perturbation scheme used to validate the sweep.
 _EDGE_EPS = 1e-9
 
 _SCAN_CHUNK = 256
+
+# Dot products per tile in the cap counts (1 MiB of float64); keeps the
+# scan's memory independent of N and M.  Larger tiles ran slower.
+_SCAN_TILE = 1 << 17
 
 # Arc starts evaluated per block in the arc sweep; keeps its memory O(N).
 _SWEEP_BLOCK = 1 << 16
@@ -187,12 +199,21 @@ def _tangent_basis(u: np.ndarray) -> np.ndarray:
     return q[:, 1:].T
 
 
+def _cap_counts(coords, dirs, s):
+    # Points with x . u >= s for each row u of dirs, over point tiles whose
+    # dot-product block holds about _SCAN_TILE entries.
+    rows = max(1, _SCAN_TILE // len(dirs))
+    counts = np.zeros(len(dirs), dtype=np.int64)
+    for p0 in range(0, coords.shape[0], rows):
+        counts += np.count_nonzero(coords[p0 : p0 + rows] @ dirs.T >= s, axis=0)
+    return counts
+
+
 def _deviation_scan(coords, dirs, s, target, threads):
     n_pts = coords.shape[0]
 
     def scan_chunk(c0):
-        block = dirs[c0 : c0 + _SCAN_CHUNK]
-        counts = (coords @ block.T >= s).sum(axis=0)
+        counts = _cap_counts(coords, dirs[c0 : c0 + _SCAN_CHUNK], s)
         dev = np.abs(counts / n_pts - target)
         i = int(np.argmax(dev))
         return float(dev[i]), c0 + i
@@ -226,7 +247,15 @@ def cap_discrepancy_fixed_height(
     the best direction: 2(n-1) tangent probes per round, step halved from
     0.1 rad when no probe improves, stopping below 1e-4 rad.  The report
     carries the witness direction and the refinement trace.
+
+    Given `directions` replace the grid: an (M, n) array of nonzero finite
+    rows, each normalized to unit length.  Caps are counted 256 directions
+    at a time over point tiles of 1 MiB of dot products, so memory does not
+    grow with N or M; `threads` (>= 1) scan those 256-direction chunks in
+    parallel, and the result does not depend on it.
     """
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got threads={threads}")
     if ps.dim == 2:
         # On the circle a fixed-height cap is a fixed-length closed arc.
         a = math.acos(s) / math.pi
@@ -237,7 +266,14 @@ def cap_discrepancy_fixed_height(
         raise ValueError("need at least one direction")
     n = ps.dim
     target = cap_measure(n, s)
-    dirs = direction_grid(n, M) if directions is None else np.asarray(directions, dtype=float)
+    if directions is None:
+        dirs = direction_grid(n, M)
+    else:
+        dirs = np.asarray(directions, dtype=float)
+        if dirs.ndim != 2 or dirs.shape[0] < 1 or dirs.shape[1] != n:
+            raise ValueError(f"directions must be an (M, {n}) array with M >= 1, got {dirs.shape}")
+        # Rejects non-finite and near-zero rows and renormalizes the rest.
+        dirs = PointSet(dirs, Provenance("directions")).coords
     coords = ps.coords
 
     best_val, best_idx = _deviation_scan(coords, dirs, s, target, threads)
@@ -256,7 +292,7 @@ def cap_discrepancy_fixed_height(
             probes.append(np.cos(step) * u - np.sin(step) * tau)
         probes = np.array(probes)
         probes /= np.linalg.norm(probes, axis=1)[:, None]
-        counts = (coords @ probes.T >= s).sum(axis=0)
+        counts = _cap_counts(coords, probes, s)
         devs = np.abs(counts / ps.size - target)
         i = int(np.argmax(devs))
         if devs[i] > current:

@@ -171,6 +171,18 @@ def test_verify_caps_without_directions_exits_two(capsys):
             assert "Traceback" not in err and "capdisc: error:" in err
 
 
+def test_cap_fixed_with_fewer_than_one_thread_exits_two(tmp_path, capsys):
+    pts = tmp_path / "z.csv"
+    assert main(["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "200",
+                 "--out", str(pts), "--no-timestamp"]) == 0
+    for threads in ("0", "-2"):
+        code = main(["disc", "--in", str(pts), "--family", "cap-fixed", "--s", S5,
+                     "--M", "50", "--threads", threads, "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2, threads
+        assert "Traceback" not in err and "capdisc: error:" in err
+
+
 def test_byte_identical_reruns(tmp_path):
     out = tmp_path / "a.json"
     args = ["freak-heights", "--n", "3", "--max-degree", "8", "--no-timestamp",
@@ -194,8 +206,9 @@ def test_threads_flag_does_not_change_results(tmp_path, capsys):
     args = ["disc", "--in", str(out), "--family", "cap-fixed", "--s", "0.2",
             "--M", "600", "--refine", "4", "--no-timestamp"]
     _, doc1 = run_json(args + ["--threads", "1"], capsys)
-    _, doc2 = run_json(args + ["--threads", "3"], capsys)
-    assert doc1["result"] == doc2["result"]
+    for threads in ("2", "3"):
+        _, doc = run_json(args + ["--threads", threads], capsys)
+        assert doc["result"] == doc1["result"], threads
 
 
 def test_timestamp_present_by_default(capsys):

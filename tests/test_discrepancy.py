@@ -23,7 +23,7 @@ from capdisc import (
     rotate,
     telescoping_check,
 )
-from capdisc.discrepancy import count_in_arcs
+from capdisc.discrepancy import _SCAN_TILE, _cap_counts, count_in_arcs
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -273,11 +273,14 @@ def test_cap_search_monotone_in_directions():
 
 
 def test_cap_search_thread_count_independent():
-    ps = generate_uniform(3, 5000, "fibonacci_s2")
+    # More points than one tile of the scan (512) and of the probes (32768).
+    ps = generate_uniform(3, 40_000, "fibonacci_s2")
     a = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=1)
-    b = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=4)
-    assert a.value == b.value
-    assert a.witness == b.witness
+    for threads in (2, 4):
+        b = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=threads)
+        assert a.value == b.value
+        assert a.witness == b.witness
+        assert a.trace == b.trace
 
 
 def test_cap_search_zonal_counterexample_contrast():
@@ -309,6 +312,64 @@ def test_cap_search_validation():
         cap_discrepancy_fixed_height(ps, 1.0, M=10)
     with pytest.raises(ValueError):
         cap_discrepancy_fixed_height(ps, 0.5, M=0)
+    for threads in (0, -2):
+        with pytest.raises(ValueError):
+            cap_discrepancy_fixed_height(ps, 0.5, M=10, threads=threads)
+
+
+def test_cap_search_rejects_bad_directions():
+    ps = generate_uniform(3, 1000, "random", seed=5)
+    bad = [
+        np.empty((0, 3)),  # no rows
+        np.array([[0.0, 1.0]]),  # wrong width
+        np.array([[0.0, np.nan, 1.0]]),  # non-finite
+        np.array([[0.0, 0.0, 0.0]]),  # degenerate
+    ]
+    for dirs in bad:
+        with pytest.raises(ValueError):
+            cap_discrepancy_fixed_height(ps, 0.3, M=10, directions=dirs)
+    # An off-unit row is renormalized, so it counts the height-0.3 cap.
+    long = cap_discrepancy_fixed_height(ps, 0.3, M=10, directions=np.array([[0.0, 0.0, 2.0]]))
+    unit = cap_discrepancy_fixed_height(ps, 0.3, M=10, directions=np.array([[0.0, 0.0, 1.0]]))
+    assert long.value == unit.value
+    assert long.witness == unit.witness
+
+
+@pytest.mark.parametrize("m_dirs", [1, 4, 255, 256, 257])
+def test_cap_counts_match_one_shot_at_tile_edges(m_dirs):
+    rows = _SCAN_TILE // m_dirs  # 512 rows for the 256-direction scan, 32768 for 4 probes
+    rng = np.random.default_rng(m_dirs)
+    dirs = generate_uniform(3, m_dirs, "random", seed=m_dirs).coords.copy()
+    dirs[0] = [0.0, 0.0, 1.0]
+    for n_pts in (rows - 1, rows, rows + 1):
+        x = rng.standard_normal((n_pts, 3))
+        coords = x / np.linalg.norm(x, axis=1)[:, None]
+        for s in (0.0, 0.5, S5, -0.3):
+            # Points exactly on the closed boundary x . u == s of the first
+            # direction, at both ends of the point range.
+            edge = np.array([math.sqrt(1.0 - s * s), 0.0, s])
+            coords[:3] = edge
+            coords[-3:] = edge
+            assert np.all(coords[[0, -1]] @ dirs[0] == s)
+            want = (coords @ dirs.T >= s).sum(axis=0)
+            got = _cap_counts(coords, dirs, s)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n_pts, s)
+
+
+def test_cap_search_memory_does_not_grow_with_n():
+    peaks = []
+    for n_pts in (2**14, 2**17):
+        ps = generate_uniform(3, n_pts, "random", seed=9)
+        tracemalloc.start()
+        try:
+            cap_discrepancy_fixed_height(ps, S5, M=2000, refine=5, threads=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    mib = 1 << 20
+    assert peaks[1] < 8 * mib
+    assert abs(peaks[1] - peaks[0]) < mib, peaks
 
 
 def test_telescoping_simple():
