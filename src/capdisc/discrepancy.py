@@ -256,12 +256,12 @@ def cap_discrepancy_fixed_height(
     """
     if threads < 1:
         raise ValueError(f"need at least one thread, got threads={threads}")
+    if not -1.0 < s < 1.0:
+        raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if ps.dim == 2:
         # On the circle a fixed-height cap is a fixed-length closed arc.
         a = math.acos(s) / math.pi
         return _arc_sweep(ps, a, family=f"fixed-height(s={s!r})")
-    if not -1.0 < s < 1.0:
-        raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if M < 1:
         raise ValueError("need at least one direction")
     n = ps.dim

@@ -65,19 +65,27 @@ def legendre_eval(d: int, k: int, t):
 
 
 def _eval_with_derivative(d, k, t):
-    """P_k and P_k' at each entry of the array t, by differentiating the recurrence."""
+    """P_k and P_k' at each entry of the array t, by differentiating the recurrence.
+
+    k is one degree, or one degree per entry of t sorted highest first; step
+    j of the recurrence then runs on the leading entries of degree > j.
+    """
+    k = np.broadcast_to(k, t.shape)
     p_prev, dp_prev = np.ones_like(t), np.zeros_like(t)
-    p, dp = t, np.ones_like(t)
-    for j in range(1, k):
+    p, dp = t.copy(), np.ones_like(t)
+    for j in range(1, int(k[0])):
+        m = np.count_nonzero(k > j)
         denom = j + d - 2
-        p_next = ((2 * j + d - 2) * t * p - j * p_prev) / denom
-        dp_next = ((2 * j + d - 2) * (p + t * dp) - j * dp_prev) / denom
-        p_prev, dp_prev, p, dp = p, dp, p_next, dp_next
+        tm, pm, dpm = t[:m], p[:m].copy(), dp[:m].copy()
+        p[:m] = ((2 * j + d - 2) * tm * pm - j * p_prev[:m]) / denom
+        dp[:m] = ((2 * j + d - 2) * (pm + tm * dpm) - j * dp_prev[:m]) / denom
+        p_prev[:m], dp_prev[:m] = pm, dpm
     return p, dp
 
 
 def _newton_polish(d, k, roots):
-    # A root whose derivative vanishes keeps its value from then on.
+    # k as in _eval_with_derivative.  A root whose derivative vanishes
+    # keeps its value from then on.
     x = np.array(roots, dtype=float)
     moving = np.ones(x.shape, dtype=bool)
     for _ in range(_POLISH_STEPS):
@@ -154,12 +162,18 @@ def freak_heights(n: int, max_degree: int) -> FreakHeights:
     if max_degree > MAX_DEGREE:
         raise ValueError(f"max_degree capped at {MAX_DEGREE}")
 
-    found: list[FreakHeight] = []
-    for deg in range(2, max_degree + 1, 2):
-        for r in legendre_roots(n + 2, deg):
-            if r > 0.0:
-                found.append(FreakHeight(float(r), deg))
-    found.sort(key=lambda e: e.height)
+    # Every even degree's Golub-Welsch roots, highest degree first, share
+    # one Newton polish.  Equal heights merge to their lowest degree
+    # whatever their order.
+    degrees = np.arange(max_degree, 1, -2)
+    root_degree = np.repeat(degrees, degrees)
+    roots = _newton_polish(
+        n + 2, root_degree, np.concatenate([_roots_eigen(n + 2, int(k)) for k in degrees])
+    )
+    positive = roots > 0.0
+    heights, root_degree = roots[positive], root_degree[positive]
+    order = np.argsort(heights)
+    found = [FreakHeight(h, g) for h, g in zip(heights[order].tolist(), root_degree[order].tolist())]
 
     merged: list[FreakHeight] = []
     for e in found:

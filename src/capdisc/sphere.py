@@ -29,10 +29,12 @@ UNIFORM_METHODS = ("random", "fibonacci_s2", "kronecker_s1", "halton_inverse")
 
 
 def unit_vector(coords) -> np.ndarray:
-    """Normalize coords to a unit vector; rejects near-zero input."""
+    """Normalize coords to a unit vector; rejects non-finite and near-zero input."""
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("a unit vector needs at least 2 coordinates")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite (nan or inf) coordinate in vector")
     norm = float(np.linalg.norm(v))
     if norm < _DEGENERATE_NORM:
         raise ValueError(f"degenerate vector with norm {norm:.3e}")

@@ -8,15 +8,22 @@ import jsonschema
 import numpy as np
 import pytest
 
+import capdisc.cli
 from capdisc import (
+    Cap,
     Driver,
     PlanarRationalDensity,
+    ZonalDensity,
     arc_discrepancy_fixed_length,
+    cap_measure,
+    freak_heights,
     funk_hecke_lambda,
     generate_qud,
+    legendre_eval,
     load_points,
 )
 from capdisc.cli import main
+from capdisc.discrepancy import direction_grid
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
@@ -148,6 +155,105 @@ def test_verify_caps_pass_and_fail(tmp_path, capsys):
     # sup over all centers is c * |lambda_3(0)| = 0.05 at the axis; a
     # 200-direction grid scan gets most of it
     assert 0.045 < doc["result"]["max_deviation"] <= 0.05 + 1e-12
+
+
+def _per_direction_verify(n, k, c, s, axis, dirs):
+    # The former verify-caps loop: one Cap and one scalar cap probability
+    # per direction, keeping the first strict maximum.  lambda_k(s) and the
+    # cap measure are the same doubles on every pass, so they are hoisted.
+    density = ZonalDensity(dim=n, degree=k, coefficient=c, axis=axis)
+    target = cap_measure(n, s)
+    scale = density.coefficient * funk_hecke_lambda(n, k, s)
+    worst, worst_dir = -1.0, dirs[0]
+    for u in dirs:
+        cap = Cap(u, s)
+        dot = float(np.clip(np.dot(density.axis, cap.center), -1.0, 1.0))
+        prob = target + scale * legendre_eval(n, k, dot)
+        dev = abs(prob - target)
+        if dev > worst:
+            worst, worst_dir = dev, u
+    return worst, worst_dir
+
+
+def _assert_verify_matches_loop(capsys, n, s, m_dirs, axis, dirs):
+    args = ["verify-caps", "--n", str(n), "--k", "3", "--c", "0.8", "--s", repr(s),
+            "--M", str(m_dirs), "--no-timestamp"]
+    if axis is not None:
+        args.append("--axis=" + ",".join(repr(a) for a in axis))
+    code, doc = run_json(args, capsys)
+    axis = np.eye(n)[-1] if axis is None else np.array(axis)
+    worst, worst_dir = _per_direction_verify(n, 3, 0.8, s, axis, dirs)
+    res = doc["result"]
+    assert code == (0 if worst <= 1e-9 else 1)
+    # %.17g prints integral floats such as 1.0 or 0.0 as JSON integers.
+    got = np.array([res["max_deviation"], *res["worst_direction"]], dtype=float)
+    want = np.array([worst, *worst_dir], dtype=float)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, s, m_dirs, axis)
+
+
+def test_verify_caps_bit_identical_to_per_direction_loop(capsys):
+    # At a freak height lambda_k(s) ~ 0 hides any rounding in axis . u; the
+    # non-freak cases include ones where a matrix-vector product in place
+    # of the per-row dot changes the last bit of max_deviation.
+    def axes(n):
+        return {"default": None, "tilted": [0.3, -2.0] + [0.7] * (n - 2), "ones": [1.0] * n}
+
+    for n in (3, 4, 5):
+        freak = freak_heights(n, 2).entries[0].height
+        for s in (freak, 0.1, 0.6, -0.2):
+            for m_dirs in (1, 2, 257):
+                for axis in axes(n).values():
+                    _assert_verify_matches_loop(capsys, n, s, m_dirs, axis, direction_grid(n, m_dirs))
+    # Full-size grids, a few: the scalar loop costs about 1 s each.
+    for n, s, axis in ((3, 1.0 / math.sqrt(5.0), "tilted"), (3, -0.2, "tilted"),
+                       (4, 0.6, "tilted"), (5, 0.6, "ones")):
+        _assert_verify_matches_loop(capsys, n, s, 20000, axes(n)[axis], direction_grid(n, 20000))
+
+
+def test_verify_caps_keeps_the_first_of_tied_maxima(capsys, monkeypatch):
+    # Each ring of four directions shares one last coordinate, hence one
+    # axis . u about the default axis and one deviation.  The z = -0.95
+    # rings (rows 4-7 and 12-15) tie for the maximum; the loop's strict >
+    # keeps row 4.
+    ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.6, -0.8]])
+    dirs = np.array([[*(np.sqrt(1.0 - z * z) * xy), z]
+                     for z in (0.9, -0.95, 0.6, -0.95) for xy in ring])
+    monkeypatch.setattr(capdisc.cli, "direction_grid", lambda n, M: dirs[:M])
+    for s in (0.0, 0.3, -0.2):
+        code, doc = run_json(["verify-caps", "--n", "3", "--k", "3", "--c", "0.8",
+                              "--s", repr(s), "--M", str(len(dirs)), "--no-timestamp"], capsys)
+        worst, worst_dir = _per_direction_verify(3, 3, 0.8, s, np.array([0.0, 0.0, 1.0]), dirs)
+        assert code == 1
+        assert np.array_equal(worst_dir, dirs[4]), s
+        assert doc["result"]["max_deviation"] == worst
+        assert doc["result"]["worst_direction"] == dirs[4].tolist()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_axis_exits_two(tmp_path, capsys, bad):
+    for args in (
+        ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5],
+        ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "5",
+         "--out", str(tmp_path / "z.csv")],
+    ):
+        code = main(args + [f"--axis={bad},0,1", "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 2, args[0]
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and "non-finite" in captured.err
+    assert not (tmp_path / "z.csv").exists()
+
+
+@pytest.mark.parametrize("s", ["1", "-1", "1.5", "nan"])
+def test_cap_fixed_on_circle_rejects_bad_height(tmp_path, capsys, s):
+    pts = tmp_path / "p.csv"
+    assert main(["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "100",
+                 "--out", str(pts), "--no-timestamp"]) == 0
+    code = main(["disc", "--in", str(pts), "--family", "cap-fixed", "--s", s, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cap height must lie in (-1, 1)" in captured.err
 
 
 def test_config_errors_exit_two(tmp_path, capsys):

@@ -144,6 +144,33 @@ def test_zonal_cap_probability_examples():
         zonal_cap_probability(d, Cap(np.array([1.0, 0.0]), 0.0))
 
 
+def test_zonal_cap_probability_array_of_centers():
+    # One Cap is the M = 1 case of the array form, bit for bit.
+    d = zonal_density(c=0.8, axis=(0.3, -2.0, 0.7))
+    centers = fibonacci_sphere(257)
+    for s in (S5, 0.3, -0.2):
+        got = zonal_cap_probability(d, centers, s)
+        assert got.shape == (257,)
+        one = np.array([zonal_cap_probability(d, Cap(u, s)) for u in centers])
+        assert np.array_equal(got.view(np.int64), one.view(np.int64)), s
+    # rows are normalized like Cap centers
+    assert np.array_equal(zonal_cap_probability(d, 3.0 * centers, S5),
+                          zonal_cap_probability(d, centers, S5))
+    bad = [
+        (centers, None),  # an array needs a height
+        (centers[0], S5),  # one row is not an (M, n) array
+        (centers[:, :2], S5),  # wrong dimension
+        (np.array([[np.nan, 0.0, 1.0]]), S5),
+        (np.array([[0.0, 0.0, 0.0]]), S5),
+        (centers, 1.0),
+        (centers, math.nan),
+        (Cap(centers[0], S5), S5),  # a Cap carries its own height
+    ]
+    for caps, s in bad:
+        with pytest.raises(ValueError):
+            zonal_cap_probability(d, caps, s)
+
+
 def test_zonal_cap_probability_direct_quadrature():
     # hemisphere about the axis: integrate the marginal over [0, 1]
     d = zonal_density(c=0.8)

@@ -306,6 +306,13 @@ def test_cap_search_dim2_redirect():
     assert rep.method == "exact"
 
 
+@pytest.mark.parametrize("s", [1.0, -1.0, 1.5, math.nan])
+def test_cap_search_dim2_rejects_bad_height(s):
+    ps = generate_uniform(2, 50, "kronecker_s1")
+    with pytest.raises(ValueError, match=r"cap height must lie in \(-1, 1\)"):
+        cap_discrepancy_fixed_height(ps, s, M=10)
+
+
 def test_cap_search_validation():
     ps = generate_uniform(3, 100, "fibonacci_s2")
     with pytest.raises(ValueError):

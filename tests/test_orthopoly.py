@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import eval_gegenbauer
 
 from capdisc import freak_heights, legendre_eval, legendre_roots
-from capdisc.orthopoly import MAX_DEGREE, _newton_polish, _roots_eigen
+from capdisc.orthopoly import DEDUP_TOL, MAX_DEGREE, _newton_polish, _roots_eigen
 
 
 # Closed-form oracles for k <= 4, obtained by Gram-Schmidt against the
@@ -196,6 +196,44 @@ def test_array_polish_bit_identical_to_scalar_loop():
             got = _newton_polish(d, k, raw)
             want = _scalar_polish(d, k, raw)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, k)
+
+
+def _per_degree_freak_heights(n, max_degree):
+    # The former freak_heights: one legendre_roots call per even degree.
+    found = []
+    for deg in range(2, max_degree + 1, 2):
+        for r in legendre_roots(n + 2, deg):
+            if r > 0.0:
+                found.append((float(r), deg))
+    found.sort(key=lambda e: e[0])
+    merged = []
+    for h, deg in found:
+        if merged and abs(h - merged[-1][0]) < DEDUP_TOL:
+            if deg < merged[-1][1]:
+                merged[-1] = (h, deg)
+            continue
+        merged.append((h, deg))
+    return merged
+
+
+def test_freak_heights_bit_identical_to_per_degree_roots():
+    for n in (3, 4, 5):
+        for max_degree in (2, 4, 6, 50, 120, 200):
+            want = _per_degree_freak_heights(n, max_degree)
+            got = freak_heights(n, max_degree).entries
+            assert [e.degree for e in got] == [deg for _, deg in want], (n, max_degree)
+            got_h = np.array([e.height for e in got])
+            want_h = np.array([h for h, _ in want])
+            assert np.array_equal(got_h.view(np.int64), want_h.view(np.int64)), (n, max_degree)
+
+
+def test_polish_with_per_root_degrees_matches_one_degree_at_a_time():
+    for d in (3, 5, 7):
+        degrees = np.array([13, 8, 8, 3, 1])
+        raw = [_roots_eigen(d, int(k)) for k in degrees]
+        got = _newton_polish(d, np.repeat(degrees, degrees), np.concatenate(raw))
+        want = np.concatenate([_newton_polish(d, int(k), r) for k, r in zip(degrees, raw)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
 
 
 def test_freak_heights_degree_two():

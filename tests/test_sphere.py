@@ -45,6 +45,15 @@ def test_unit_vector_normalizes():
         unit_vector([1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_vector_rejects_non_finite(bad):
+    for coords in ([bad, 0.0, 1.0], [0.0, bad], [1.0, 2.0, bad]):
+        with pytest.raises(ValueError, match="non-finite"):
+            unit_vector(coords)
+    with pytest.raises(ValueError, match="non-finite"):
+        Cap([bad, 0.0, 1.0], 0.5)
+
+
 def test_cap_contains_examples():
     e = unit_vector([0.0, 0.0, 1.0])
     cap = Cap(e, 0.5)
