@@ -113,7 +113,7 @@ def _cmd_gen(args) -> int:
     else:  # pragma: no cover - argparse enforces choices
         raise ValueError(f"unknown density {args.density!r}")
 
-    ps = generate_qud(density, args.N, driver)
+    ps = generate_qud(density, args.N, driver, threads=args.threads)
     out = args.out or "points.csv"
     save_points(ps, out)
     result = {
@@ -152,7 +152,7 @@ def _cmd_disc(args) -> int:
     if args.family == "arc-fixed":
         if args.a is None:
             raise ValueError("family arc-fixed needs --a")
-        report = _report_to_dict(arc_discrepancy_fixed_length(ps, args.a))
+        report = _report_to_dict(arc_discrepancy_fixed_length(ps, args.a, threads=args.threads))
     elif args.family == "cap-fixed":
         if args.s is None:
             raise ValueError("family cap-fixed needs --s")
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="primary output file")
     common.add_argument("--json", default=None, help="write the JSON report here instead of stdout")
     common.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads for direction scans (results are thread-count independent)")
+                        help="worker threads for the cap scan, the arc sweep and gen; each splits "
+                             "fixed blocks across them, so results do not depend on the thread count")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
 

@@ -20,11 +20,13 @@ import numpy as np
 from .cap_transform import funk_hecke_lambda, weight_mass
 from .orthopoly import legendre_eval
 from .sphere import (
+    _SWEEP_BLOCK,
     Cap,
     GOLDEN_RATIO_CONJUGATE,
     TWO_PI,
     PointSet,
     Provenance,
+    _map_blocks,
     cap_measure,
     radical_inverse,
     unit_vector,
@@ -244,13 +246,18 @@ def _orthonormal_frame(axis):
     return e, b1, b2
 
 
-def generate_qud(d, N: int, driver: Driver) -> PointSet:
+def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     """Sequence uniformly distributed for the density, by inverse-CDF transport.
 
     Planar densities transport a 1-D driver through the circle CDF.  Zonal
     densities (dim 3 only) transport the first Halton coordinate through the
     marginal CDF of t = axis . v and use the second as the azimuth around
     the axis.  Bitwise deterministic for fixed (density, N, driver).
+
+    Points are made in fixed blocks of 2^16: each block draws its own
+    driver values and transports them, so temporaries are O(block) beside
+    the (N, n) result.  `threads` (>= 1) transport blocks in parallel; the
+    block edges, and so every output bit, do not depend on it.
     """
     if N < 1:
         raise ValueError(f"need N >= 1 points, got {N}")
@@ -258,39 +265,51 @@ def generate_qud(d, N: int, driver: Driver) -> PointSet:
     if isinstance(d, PlanarRationalDensity):
         if driver.ndim != 1:
             raise ValueError("planar generation needs a 1-D driver")
-        x = driver.values(N)
-        theta = _invert_monotone_vec(
-            d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI
-        )
-        coords = np.column_stack([np.cos(theta), np.sin(theta)])
-        desc = f"planar(p={d.p},q={d.q},driver={driver.kind},N={N})"
-        return PointSet(coords, Provenance(generator=desc, seed=driver.offset))
 
-    if isinstance(d, ZonalDensity):
+        def transport(x):
+            theta = _invert_monotone_vec(
+                d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI
+            )
+            return np.column_stack([np.cos(theta), np.sin(theta)])
+
+        dim = 2
+        desc = f"planar(p={d.p},q={d.q},driver={driver.kind},N={N})"
+    elif isinstance(d, ZonalDensity):
         if d.dim != 3:
             raise ValueError("zonal generation is restricted to dim 3")
         if driver.ndim != 2:
             raise ValueError("zonal generation needs a 2-D driver")
-        xy = driver.values(N)
-        t = _invert_monotone_vec(
-            lambda tt: _zonal_cdf_dim3(d, tt),
-            lambda tt: d.density_at_t(tt) / weight_mass(3),
-            xy[:, 0],
-            -1.0,
-            1.0,
-        )
-        phi = TWO_PI * xy[:, 1]
         e, b1, b2 = _orthonormal_frame(d.axis)
-        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        coords = (
-            t[:, None] * e[None, :]
-            + (r * np.cos(phi))[:, None] * b1[None, :]
-            + (r * np.sin(phi))[:, None] * b2[None, :]
-        )
+
+        def transport(xy):
+            t = _invert_monotone_vec(
+                lambda tt: _zonal_cdf_dim3(d, tt),
+                lambda tt: d.density_at_t(tt) / weight_mass(3),
+                xy[:, 0],
+                -1.0,
+                1.0,
+            )
+            phi = TWO_PI * xy[:, 1]
+            r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+            return (
+                t[:, None] * e[None, :]
+                + (r * np.cos(phi))[:, None] * b1[None, :]
+                + (r * np.sin(phi))[:, None] * b2[None, :]
+            )
+
+        dim = 3
         desc = (
             f"zonal(n={d.dim},k={d.degree},c={d.coefficient!r},"
             f"axis={','.join(format(a, '.17g') for a in d.axis)},driver={driver.kind},N={N})"
         )
-        return PointSet(coords, Provenance(generator=desc, seed=driver.offset))
+    else:
+        raise TypeError(f"unsupported density type {type(d).__name__}")
 
-    raise TypeError(f"unsupported density type {type(d).__name__}")
+    coords = np.empty((N, dim))
+
+    def block(lo):
+        x = Driver(driver.kind, driver.offset + lo).values(min(_SWEEP_BLOCK, N - lo))
+        coords[lo : lo + len(x)] = transport(x)
+
+    _map_blocks(block, range(0, N, _SWEEP_BLOCK), threads)
+    return PointSet(coords, Provenance(generator=desc, seed=driver.offset))

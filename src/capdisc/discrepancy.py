@@ -11,16 +11,17 @@ values are certified lower bounds of the true supremum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sphere import (
+    _SWEEP_BLOCK,
     TWO_PI,
     Cap,
     PointSet,
     Provenance,
+    _map_blocks,
     cap_measure,
     fibonacci_sphere,
     generate_uniform,
@@ -34,9 +35,6 @@ _SCAN_CHUNK = 256
 # Dot products per tile in the cap counts (1 MiB of float64); keeps the
 # scan's memory independent of N and M.  Larger tiles ran slower.
 _SCAN_TILE = 1 << 17
-
-# Arc starts evaluated per block in the arc sweep; keeps its memory O(N).
-_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,38 +95,49 @@ def count_in_arcs(psi_sorted: np.ndarray, theta0, a: float) -> np.ndarray:
     return _count_ranks(psi_sorted, lo, np.where(wrapped, hi - 1.0, hi), wrapped)
 
 
-def arc_discrepancy_fixed_length(ps: PointSet, a: float) -> DiscrepancyReport:
+def arc_discrepancy_fixed_length(ps: PointSet, a: float, threads: int = 1) -> DiscrepancyReport:
     """Exact sup over starting angles of |empirical([t0, t0+2*pi*a)) - a|.
 
     The count is piecewise constant in the starting angle with breakpoints
     at each point and each point minus the arc length; evaluating there and
     at one-sided offsets covers every piece, so the sweep is exact
-    (O(N log N): one sort plus vectorized rank queries).
+    (O(N log N): one sort plus vectorized rank queries).  The evaluation
+    points are taken in fixed blocks of 2^16, so memory is O(N); `threads`
+    (>= 1) evaluate blocks in parallel, and the result does not depend on it.
     """
     if ps.dim != 2:
         raise ValueError("fixed-length arcs are defined on the circle (dim 2)")
     if not 0.0 < a < 0.5:
         raise ValueError(f"arc fraction must lie in (0, 1/2), got {a}")
-    return _arc_sweep(ps, a, family=f"fixed-length(a={a!r})")
+    return _arc_sweep(ps, a, f"fixed-length(a={a!r})", threads)
 
 
-def _arc_sweep(ps: PointSet, a: float, family: str) -> DiscrepancyReport:
+def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> DiscrepancyReport:
     psi = np.sort(ps.turns())
     entries = psi - a
     entries = np.where(entries < 0.0, entries + 1.0, entries)
     # Evaluation order: starts, entries, then both again at +eps and -eps.
-    # The strict ">" keeps the first maximum in that order as the witness.
     # Adding 0.0 only turns -0.0 into 0.0, which np.mod does anyway.
+    jobs = [
+        (offset, base, lo)
+        for offset in (0.0, _EDGE_EPS, -_EDGE_EPS)
+        for base in (psi, entries)
+        for lo in range(0, base.size, _SWEEP_BLOCK)
+    ]
+
+    def sweep_block(job):
+        offset, base, lo = job
+        pts = np.mod(base[lo : lo + _SWEEP_BLOCK] + offset, 1.0)
+        pts = np.where(pts >= 1.0, 0.0, pts)
+        dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
+        i = int(np.argmax(dev))
+        return float(dev[i]), float(pts[i])
+
+    # The strict ">" keeps the first maximum in evaluation order as the witness.
     best_val, best_start = -1.0, 0.0
-    for offset in (0.0, _EDGE_EPS, -_EDGE_EPS):
-        for base in (psi, entries):
-            for lo in range(0, base.size, _SWEEP_BLOCK):
-                pts = np.mod(base[lo : lo + _SWEEP_BLOCK] + offset, 1.0)
-                pts = np.where(pts >= 1.0, 0.0, pts)
-                dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
-                i = int(np.argmax(dev))
-                if dev[i] > best_val:
-                    best_val, best_start = float(dev[i]), float(pts[i])
+    for val, start in _map_blocks(sweep_block, jobs, threads):
+        if val > best_val:
+            best_val, best_start = val, start
     witness = {"theta0": TWO_PI * best_start, "length": float(TWO_PI * a)}
     return DiscrepancyReport(
         family=family,
@@ -218,13 +227,7 @@ def _deviation_scan(coords, dirs, s, target, threads):
         i = int(np.argmax(dev))
         return float(dev[i]), c0 + i
 
-    starts = range(0, dirs.shape[0], _SCAN_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan_chunk, starts))
-    else:
-        results = [scan_chunk(c0) for c0 in starts]
-
+    results = _map_blocks(scan_chunk, range(0, dirs.shape[0], _SCAN_CHUNK), threads)
     best_val, best_idx = -1.0, -1
     for val, idx in results:  # deterministic order regardless of thread count
         if val > best_val or (val == best_val and idx < best_idx):
@@ -251,17 +254,16 @@ def cap_discrepancy_fixed_height(
     Given `directions` replace the grid: an (M, n) array of nonzero finite
     rows, each normalized to unit length.  Caps are counted 256 directions
     at a time over point tiles of 1 MiB of dot products, so memory does not
-    grow with N or M; `threads` (>= 1) scan those 256-direction chunks in
-    parallel, and the result does not depend on it.
+    grow with N or M; `threads` (>= 1) scan those 256-direction chunks (on
+    the circle, the arc sweep's blocks) in parallel, and the result does
+    not depend on it.
     """
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got threads={threads}")
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if ps.dim == 2:
         # On the circle a fixed-height cap is a fixed-length closed arc.
         a = math.acos(s) / math.pi
-        return _arc_sweep(ps, a, family=f"fixed-height(s={s!r})")
+        return _arc_sweep(ps, a, f"fixed-height(s={s!r})", threads)
     if M < 1:
         raise ValueError("need at least one direction")
     n = ps.dim

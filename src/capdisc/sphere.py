@@ -4,7 +4,9 @@ and deterministic uniform point generators."""
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +25,28 @@ TWO_PI = 2.0 * np.pi
 # Rows formatted per write call in save_points; bounds the temporary string.
 _CSV_BLOCK = 65_536
 
+# Points per block in generation and in the arc sweep; keeps their
+# temporaries O(block) and fixes the block edges for every thread count.
+_SWEEP_BLOCK = 1 << 16
+
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
 
 UNIFORM_METHODS = ("random", "fibonacci_s2", "kronecker_s1", "halton_inverse")
+
+
+def _map_blocks(fn, jobs, threads):
+    """[fn(job) for job in jobs], in order, on up to `threads` threads.
+
+    Runs inline for one thread or one job.  Each job must depend only on
+    its own argument, so the results do not depend on `threads`.
+    """
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got threads={threads}")
+    jobs = list(jobs)
+    if threads == 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def unit_vector(coords) -> np.ndarray:
@@ -35,7 +56,12 @@ def unit_vector(coords) -> np.ndarray:
         raise ValueError("a unit vector needs at least 2 coordinates")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite (nan or inf) coordinate in vector")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm):
+        # A finite vector whose norm overflows: scale by max |x| first.
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
     if norm < _DEGENERATE_NORM:
         raise ValueError(f"degenerate vector with norm {norm:.3e}")
     if abs(norm - 1.0) > _UNIT_TOL:
@@ -138,7 +164,13 @@ class PointSet:
             raise ValueError("a point set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite (nan or inf) coordinate in coords")
-        norms = np.linalg.norm(arr, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1)
+        big = np.isinf(norms)
+        if np.any(big):
+            # Finite rows whose norm overflows: scale by max |x| first.
+            arr[big] /= np.max(np.abs(arr[big]), axis=1)[:, None]
+            norms[big] = np.linalg.norm(arr[big], axis=1)
         if np.any(norms < _DEGENERATE_NORM):
             raise ValueError("degenerate (near-zero) point in coords")
         fix = np.abs(norms - 1.0) > _UNIT_TOL

@@ -289,6 +289,35 @@ def test_cap_fixed_with_fewer_than_one_thread_exits_two(tmp_path, capsys):
         assert "Traceback" not in err and "capdisc: error:" in err
 
 
+def test_gen_and_arc_fixed_with_fewer_than_one_thread_exit_two(tmp_path, capsys):
+    pts = tmp_path / "p.csv"
+    for threads in ("0", "-2"):
+        code = main(["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "200",
+                     "--out", str(pts), "--threads", threads, "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2, threads
+        assert "Traceback" not in err and "capdisc: error:" in err
+    assert not pts.exists()
+    assert main(["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "200",
+                 "--out", str(pts), "--no-timestamp"]) == 0
+    for threads in ("0", "-2"):
+        code = main(["disc", "--in", str(pts), "--family", "arc-fixed", "--a", "0.3",
+                     "--threads", threads, "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2, threads
+        assert "Traceback" not in err and "capdisc: error:" in err
+
+
+def test_verify_caps_axis_whose_norm_overflows(capsys):
+    args = ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", "0", "--M", "50",
+            "--no-timestamp"]
+    code_small, small = run_json(args + ["--axis", "1,1,0"], capsys)
+    code_big, big = run_json(args + ["--axis", "1e308,1e308,0"], capsys)
+    assert code_small == code_big == 1
+    assert small["result"]["max_deviation"] > 0.04
+    assert big["result"] == small["result"]
+
+
 def test_byte_identical_reruns(tmp_path):
     out = tmp_path / "a.json"
     args = ["freak-heights", "--n", "3", "--max-degree", "8", "--no-timestamp",
@@ -315,6 +344,28 @@ def test_threads_flag_does_not_change_results(tmp_path, capsys):
     for threads in ("2", "3"):
         _, doc = run_json(args + ["--threads", threads], capsys)
         assert doc["result"] == doc1["result"], threads
+
+    # gen and the arc sweep split 2^16-point blocks across threads: three
+    # blocks here, the last one partial.
+    gens = {
+        "planar": ["--density", "planar", "--p", "1", "--q", "3", "--N", "131077", "--seed", "9"],
+        "zonal": ["--density", "zonal", "--k", "3", "--c", "0.8", "--axis", "1,2,2",
+                  "--N", "131077", "--seed", "4"],
+    }
+    for density, gen in gens.items():
+        csv = {}
+        for threads in ("1", "2", "3"):
+            path = tmp_path / f"{density}{threads}.csv"
+            assert main(["gen", *gen, "--out", str(path), "--threads", threads]) == 0
+            csv[threads] = path.read_bytes()
+        assert csv["1"] == csv["2"] == csv["3"], density
+    planar = str(tmp_path / "planar1.csv")
+    for a in ("0.3333333333333333", "0.3"):
+        args = ["disc", "--in", planar, "--family", "arc-fixed", "--a", a, "--no-timestamp"]
+        _, doc1 = run_json(args + ["--threads", "1"], capsys)
+        for threads in ("2", "3"):
+            _, doc = run_json(args + ["--threads", threads], capsys)
+            assert doc["result"] == doc1["result"], (a, threads)
 
 
 def test_timestamp_present_by_default(capsys):

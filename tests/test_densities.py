@@ -1,15 +1,20 @@
 """Tests for the counterexample densities, transport and generation."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import capdisc.densities
 from capdisc import (
     Cap,
     Driver,
     PlanarRationalDensity,
+    PointSet,
+    Provenance,
     ZonalDensity,
     cap_measure,
     fibonacci_sphere,
@@ -19,7 +24,8 @@ from capdisc import (
     positivity_margin,
     zonal_cap_probability,
 )
-from capdisc.densities import _invert_monotone_vec, _zonal_cdf_dim3
+from capdisc.cap_transform import weight_mass
+from capdisc.densities import _invert_monotone_vec, _orthonormal_frame, _zonal_cdf_dim3
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -309,3 +315,83 @@ def test_generate_validation():
         )
     with pytest.raises(TypeError):
         generate_qud(object(), 10, Driver("halton_2_3"))
+
+
+def whole_array_generate(d, N, driver):
+    """generate_qud as one N-sized transport, before it ran in blocks."""
+    if isinstance(d, PlanarRationalDensity):
+        x = driver.values(N)
+        theta = _invert_monotone_vec(d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI)
+        coords = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        xy = driver.values(N)
+        t = _invert_monotone_vec(
+            lambda tt: _zonal_cdf_dim3(d, tt),
+            lambda tt: d.density_at_t(tt) / weight_mass(3),
+            xy[:, 0],
+            -1.0,
+            1.0,
+        )
+        phi = TWO_PI * xy[:, 1]
+        e, b1, b2 = _orthonormal_frame(d.axis)
+        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        coords = (
+            t[:, None] * e[None, :]
+            + (r * np.cos(phi))[:, None] * b1[None, :]
+            + (r * np.sin(phi))[:, None] * b2[None, :]
+        )
+    return PointSet(coords, Provenance("whole-array", driver.offset)).coords
+
+
+GENERATION_CASES = [
+    (PlanarRationalDensity(1, 3), "van_der_corput_base2"),
+    (PlanarRationalDensity(2, 5), "kronecker_golden"),
+    (ZonalDensity(dim=3, degree=3, coefficient=0.8, axis=np.array([1.0, 2.0, 2.0])), "halton_2_3"),
+]
+
+
+@pytest.mark.parametrize("d, kind", GENERATION_CASES)
+@pytest.mark.parametrize("offset", [0, 7919])
+def test_blocked_generation_bit_identical_at_block_edges(monkeypatch, d, kind, offset):
+    block = 97
+    monkeypatch.setattr(capdisc.densities, "_SWEEP_BLOCK", block)
+    for n in (1, block - 1, block, block + 1, 5 * block + 3):
+        want = whole_array_generate(d, n, Driver(kind, offset)).view(np.int64)
+        for threads in (1, 2, 3):
+            got = generate_qud(d, n, Driver(kind, offset), threads=threads)
+            assert np.array_equal(got.coords.view(np.int64), want), (n, threads)
+            assert got.provenance.seed == offset
+
+
+@pytest.mark.parametrize("d, kind", GENERATION_CASES)
+def test_blocked_generation_bit_identical_past_one_block(d, kind):
+    n = 2**16 + 3
+    want = whole_array_generate(d, n, Driver(kind, 12345)).view(np.int64)
+    for threads in (1, 2, 3):
+        got = generate_qud(d, n, Driver(kind, 12345), threads=threads)
+        assert np.array_equal(got.coords.view(np.int64), want), threads
+
+
+def test_blocked_generation_under_thread_stress(monkeypatch):
+    # Blocks write disjoint rows of one shared array: many more workers than
+    # cores and a tiny switch interval must still give the serial bits.
+    monkeypatch.setattr(capdisc.densities, "_SWEEP_BLOCK", 17)
+    d, kind = GENERATION_CASES[2]
+    want = whole_array_generate(d, 600, Driver(kind, 3)).view(np.int64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        for _ in range(2):
+            got = generate_qud(d, 600, Driver(kind, 3), threads=8)
+            assert np.array_equal(got.coords.view(np.int64), want)
+        assert time.perf_counter() - t0 < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_generate_rejects_fewer_than_one_thread():
+    for d, kind in GENERATION_CASES:
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match="thread"):
+                generate_qud(d, 10, Driver(kind), threads=threads)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import capdisc.discrepancy
 from capdisc import (
     Cap,
     Driver,
@@ -72,6 +73,25 @@ def concatenated_arc_sweep(ps, a):
     dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
     best = int(np.argmax(dev))
     return float(dev[best]), float(TWO_PI * pts[best]), int(np.count_nonzero(dev == dev[best]))
+
+
+def serial_arc_sweep(ps, a, block):
+    """The arc sweep as one serial loop over blocks, before blocks ran on
+    threads: (value, theta0)."""
+    psi = np.sort(ps.turns())
+    entries = psi - a
+    entries = np.where(entries < 0.0, entries + 1.0, entries)
+    best_val, best_start = -1.0, 0.0
+    for offset in (0.0, EPS, -EPS):
+        for base in (psi, entries):
+            for lo in range(0, base.size, block):
+                pts = np.mod(base[lo : lo + block] + offset, 1.0)
+                pts = np.where(pts >= 1.0, 0.0, pts)
+                dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
+                i = int(np.argmax(dev))
+                if dev[i] > best_val:
+                    best_val, best_start = float(dev[i]), float(pts[i])
+    return best_val, TWO_PI * best_start
 
 
 def brute_circle_extreme(psi):
@@ -166,6 +186,66 @@ def test_arc_sweep_matches_concatenated_sweep(n, kind):
         assert rep.witness["theta0"] == theta0, (kind, n, a)
         if kind == "kronecker":
             assert ties > 1  # the witness is the first of several maxima
+
+
+def assert_sweep_matches_serial(ps, a, block, **kw):
+    value, theta0 = serial_arc_sweep(ps, a, block)
+    for threads in (1, 2, 3):
+        rep = arc_discrepancy_fixed_length(ps, a, threads=threads, **kw)
+        assert np.float64(rep.value).view(np.int64) == np.float64(value).view(np.int64), threads
+        got = np.float64(rep.witness["theta0"]).view(np.int64)
+        assert got == np.float64(theta0).view(np.int64), threads
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "kronecker"])
+def test_threaded_arc_sweep_bit_identical_to_serial_at_block_edges(monkeypatch, kind):
+    block = 61
+    monkeypatch.setattr(capdisc.discrepancy, "_SWEEP_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (1, block - 1, block, block + 1, 7 * block + 3):
+        if kind == "random":
+            ps = pointset_from_turns(rng.uniform(0.0, 1.0, n))
+        elif kind == "duplicates":
+            ps = pointset_from_turns(rng.integers(0, 13, n) / 13)
+        else:
+            ps = generate_uniform(2, n, "kronecker_s1", seed=5)
+        for a in (1.0 / 3.0, 0.3, 0.01):
+            assert_sweep_matches_serial(ps, a, block)
+
+
+@pytest.mark.parametrize("kind", ["random", "kronecker"])
+def test_threaded_arc_sweep_bit_identical_to_serial_past_one_block(kind):
+    n = 2**16 + 3
+    if kind == "random":
+        ps = pointset_from_turns(np.random.default_rng(n).uniform(0.0, 1.0, n))
+    else:
+        ps = generate_uniform(2, n, "kronecker_s1", seed=17)
+    for a in (1.0 / 3.0, 0.3):
+        assert_sweep_matches_serial(ps, a, 2**16)
+
+
+def test_threaded_arc_sweep_keeps_the_first_of_maxima_tied_across_blocks(monkeypatch):
+    # Two identical clusters half a turn apart: the arcs starting at either
+    # cluster hold the same count, so the maximum is tied between block 0
+    # and block 1 of the starts, and the first one must be the witness.
+    block = 4
+    monkeypatch.setattr(capdisc.discrepancy, "_SWEEP_BLOCK", block)
+    cluster = 0.1 + 1e-3 * np.arange(block)
+    ps = pointset_from_turns(np.concatenate([cluster, cluster + 0.5]))
+    a = 0.25
+    psi = np.sort(ps.turns())
+    starts = np.abs(count_in_arcs(psi, psi, a) / ps.size - a)
+    assert starts[0] == starts[block] == starts.max()
+    assert_sweep_matches_serial(ps, a, block)
+    rep = arc_discrepancy_fixed_length(ps, a, threads=2)
+    assert rep.witness["theta0"] == TWO_PI * psi[0]
+
+
+def test_arc_sweep_rejects_fewer_than_one_thread():
+    ps = pointset_from_turns([0.1, 0.4])
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="thread"):
+            arc_discrepancy_fixed_length(ps, 0.3, threads=threads)
 
 
 def test_arc_sweep_memory_is_linear_with_small_constant():

@@ -1,6 +1,7 @@
 """Tests for sphere primitives, cap measure and uniform generators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_unit_vector_normalizes():
         unit_vector([1e-10, 0.0])
     with pytest.raises(ValueError):
         unit_vector([1.0])
+
+
+def test_unit_vector_rescales_a_norm_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big, small in (([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]),
+                           ([-1e200, 0.0], [-1.0, 0.0]),
+                           ([2.0**1020, -(2.0**1021), 0.0], [1.0, -2.0, 0.0])):
+            got = unit_vector(big)
+            assert np.array_equal(got.view(np.int64), unit_vector(small).view(np.int64)), big
+            assert Cap(big, 0.5).center.tolist() == got.tolist()
+    # a large vector whose norm is finite is divided by that norm as before
+    v = np.array([1e150, 2e150])
+    assert np.array_equal(unit_vector(v), v / np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -219,6 +234,23 @@ def test_pointset_validation():
     assert len(ps) == 1
     with pytest.raises(ValueError):
         ps.coords[0, 0] = 2.0  # read-only storage
+
+
+def test_pointset_rescales_rows_whose_norm_overflows(tmp_path):
+    rows = np.array([[1e308, 1e308, 0.0], [0.6, 0.0, 0.8], [0.0, -1e200, 0.0], [2.0, 3.0, 6.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = PointSet(rows, Provenance("big", 0))
+    want = PointSet([[1.0, 1.0, 0.0], [0.6, 0.0, 0.8], [0.0, -1.0, 0.0], [2.0, 3.0, 6.0]],
+                    Provenance("small", 0))
+    assert np.array_equal(ps.coords.view(np.int64), want.coords.view(np.int64))
+    assert ps.coords[0, 0] == ps.coords[0, 1] == unit_vector([1.0, 1.0])[0]
+    path = tmp_path / "big.csv"
+    path.write_text("# dim=3 generator=big seed=0\n1e308,1e308,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_points(path)
+    assert np.array_equal(loaded.coords.view(np.int64), want.coords[:1].view(np.int64))
 
 
 def test_csv_round_trip(tmp_path):
