@@ -4,7 +4,6 @@ discrepancy machinery to verify both halves of the claim numerically."""
 from .cap_transform import (
     funk_hecke_lambda,
     odd_mean_zero_check,
-    transform_apply,
     weight_mass,
 )
 from .densities import (
@@ -37,15 +36,11 @@ from .sphere import (
     Cap,
     PointSet,
     Provenance,
-    Rotation,
-    cap_contains,
-    cap_height_for_measure,
     cap_measure,
     fibonacci_sphere,
     generate_uniform,
     load_points,
     radical_inverse,
-    rotate,
     save_points,
     unit_vector,
 )

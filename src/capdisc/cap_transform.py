@@ -19,7 +19,6 @@ from .orthopoly import legendre_eval
 __all__ = [
     "funk_hecke_lambda",
     "odd_mean_zero_check",
-    "transform_apply",
     "weight_mass",
 ]
 
@@ -93,13 +92,3 @@ def odd_mean_zero_check(n: int, k: int, order: int | None = None) -> float:
         order = _default_order(k)
     num = _zonal_integral(n, k, 0.0, np.pi, order)
     return num / weight_mass(n)
-
-
-def transform_apply(n: int, k: int, s: float, axis, u) -> float:
-    """Cap transform of v -> P_k(axis . v), evaluated at u."""
-    axis = np.asarray(axis, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if axis.shape != u.shape or axis.shape != (n,):
-        raise ValueError("dimension mismatch between axis, u and n")
-    dot = float(np.clip(np.dot(axis, u), -1.0, 1.0))
-    return funk_hecke_lambda(n, k, s) * legendre_eval(n, k, dot)

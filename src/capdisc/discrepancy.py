@@ -2,8 +2,9 @@
 
 Arc families on the circle are handled exactly: the empirical count of a
 half-open arc is piecewise constant in the starting angle, with breakpoints
-where an endpoint crosses a data point, so the supremum is attained on a
-finite evaluation set.  Cap families on higher spheres are searched over a
+where an endpoint crosses a data point, so the supremum is attained at one
+of the 2N breakpoints, each counted by two exact rank queries on the sorted
+turns (no tolerance).  Cap families on higher spheres are searched over a
 deterministic direction grid followed by a shrinking-step hill climb; those
 values are certified lower bounds of the true supremum.
 """
@@ -26,9 +27,6 @@ from .sphere import (
     fibonacci_sphere,
     generate_uniform,
 )
-
-# Matches the brute-force perturbation scheme used to validate the sweep.
-_EDGE_EPS = 1e-9
 
 _SCAN_CHUNK = 256
 
@@ -82,28 +80,49 @@ def _count_ranks(psi_sorted, lo, hi, wrapped):
     return np.where(wrapped, (psi_sorted.size - lo_rank) + hi_rank, hi_rank - lo_rank)
 
 
-def count_in_arcs(psi_sorted: np.ndarray, theta0, a: float) -> np.ndarray:
-    """Points in the half-open arcs [theta0, theta0 + a), everything in turns.
+def _two_sum(x, y):
+    # Knuth's TwoSum: s = fl(x + y) and the exact error (x + y) - s.
+    s = x + y
+    y_part = s - x
+    return s, (x - (s - y_part)) + (y - y_part)
 
-    psi_sorted must be sorted values in [0, 1); theta0 is an array of arc
-    starts in [0, 1).  Membership is psi >= lo and psi < lo + a with
-    wraparound, evaluated by rank differences on the sorted array.
+
+def _arc_ends(base, step):
+    """Rank queries for the exact arc ends base + step, taken mod 1.
+
+    Returns (q, wrapped): q is the smallest float >= the exact end reduced
+    into [0, 1), so the left rank of q counts the turns below the end, and
+    wrapped marks ends that left [0, 1) (at or above 1 for step > 0, below
+    0 for step < 0).
     """
-    lo = np.atleast_1d(np.asarray(theta0, dtype=float))
-    hi = lo + a
-    wrapped = hi >= 1.0
-    return _count_ranks(psi_sorted, lo, np.where(wrapped, hi - 1.0, hi), wrapped)
+    h, e = _two_sum(base, step)
+    if step > 0.0:
+        wrapped = (h > 1.0) | ((h == 1.0) & (e >= 0.0))
+    else:
+        wrapped = h < 0.0  # h == 0.0 only where base + step is exactly 0
+    # end = g + e1 + e exactly.  e1 + e is rounded only where e1 != 0, when
+    # an end in (-1/2, 0) moves up by 1: then g >= 1/2 and |e1 + e| < 2^-53,
+    # so the rounding error r below is under 2^-106.
+    g, e1 = _two_sum(h, np.where(wrapped, -math.copysign(1.0, step), 0.0))
+    big, r = _two_sum(e1, e)
+    s, t = _two_sum(g, big)
+    # end = s + t + r exactly: |t| is at most half the spacing at s and r is
+    # far smaller, so no float lies strictly between s and end, and the
+    # rounded t + r has the sign of end - s.
+    return np.where(t + r > 0.0, np.nextafter(s, 2.0), s), wrapped
 
 
 def arc_discrepancy_fixed_length(ps: PointSet, a: float, threads: int = 1) -> DiscrepancyReport:
     """Exact sup over starting angles of |empirical([t0, t0+2*pi*a)) - a|.
 
-    The count is piecewise constant in the starting angle with breakpoints
-    at each point and each point minus the arc length; evaluating there and
-    at one-sided offsets covers every piece, so the sweep is exact
-    (O(N log N): one sort plus vectorized rank queries).  The evaluation
-    points are taken in fixed blocks of 2^16, so memory is O(N); `threads`
-    (>= 1) evaluate blocks in parallel, and the result does not depend on it.
+    In turns, the count of [t, t + a) is constant on each piece (b, b'] of
+    the circle cut at the 2N breakpoints psi_i and psi_i - a, so the sweep
+    counts every arc starting at a breakpoint.  Each count is two exact
+    rank queries on the sorted turns: arc ends are carried with their
+    TwoSum error, so no float rounding or tolerance enters the count
+    (O(N log N): one sort plus vectorized rank queries).  The breakpoints
+    are taken in fixed blocks of 2^16, so memory is O(N); `threads` (>= 1)
+    evaluate blocks in parallel, and the result does not depend on it.
     """
     if ps.dim != 2:
         raise ValueError("fixed-length arcs are defined on the circle (dim 2)")
@@ -114,24 +133,26 @@ def arc_discrepancy_fixed_length(ps: PointSet, a: float, threads: int = 1) -> Di
 
 def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> DiscrepancyReport:
     psi = np.sort(ps.turns())
-    entries = psi - a
-    entries = np.where(entries < 0.0, entries + 1.0, entries)
-    # Evaluation order: starts, entries, then both again at +eps and -eps.
-    # Adding 0.0 only turns -0.0 into 0.0, which np.mod does anyway.
-    jobs = [
-        (offset, base, lo)
-        for offset in (0.0, _EDGE_EPS, -_EDGE_EPS)
-        for base in (psi, entries)
-        for lo in range(0, base.size, _SWEEP_BLOCK)
-    ]
+    # Evaluation order: the starts psi_i (arcs [psi_i, psi_i + a)), then the
+    # entries psi_i - a (arcs [psi_i - a, psi_i)).
+    jobs = [(step, lo) for step in (a, -a) for lo in range(0, psi.size, _SWEEP_BLOCK)]
 
     def sweep_block(job):
-        offset, base, lo = job
-        pts = np.mod(base[lo : lo + _SWEEP_BLOCK] + offset, 1.0)
-        pts = np.where(pts >= 1.0, 0.0, pts)
-        dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
+        step, lo = job
+        block = psi[lo : lo + _SWEEP_BLOCK]
+        ends, wrapped = _arc_ends(block, step)
+        if step > 0.0:
+            counts = _count_ranks(psi, block, ends, wrapped)
+        else:
+            counts = _count_ranks(psi, ends, block, wrapped)
+        dev = np.abs(counts / ps.size - a)
         i = int(np.argmax(dev))
-        return float(dev[i]), float(pts[i])
+        # The reported start is the float psi_i (-0.0 made 0.0) or psi_i - a,
+        # wrapped into [0, 1).
+        start = float(block[i]) + 0.0 if step > 0.0 else float(block[i] - a)
+        if start < 0.0:
+            start += 1.0
+        return float(dev[i]), start % 1.0
 
     # The strict ">" keeps the first maximum in evaluation order as the witness.
     best_val, best_start = -1.0, 0.0
@@ -257,11 +278,16 @@ def cap_discrepancy_fixed_height(
     grow with N or M; `threads` (>= 1) scan those 256-direction chunks (on
     the circle, the arc sweep's blocks) in parallel, and the result does
     not depend on it.
+
+    On the circle (dim 2) the value is exact instead: the arc sweep over
+    the half-open arcs [t, t + a) of a = arccos(s)/pi turns, for any s in
+    (-1, 1); M, refine and directions are not used there.
     """
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if ps.dim == 2:
-        # On the circle a fixed-height cap is a fixed-length closed arc.
+        # On the circle a height-s cap is an arc of arccos(s)/pi turns; like
+        # arc-fixed, the sweep counts the half-open arcs [t, t + a).
         a = math.acos(s) / math.pi
         return _arc_sweep(ps, a, f"fixed-height(s={s!r})", threads)
     if M < 1:

@@ -1,5 +1,5 @@
-"""Points, caps and rotations on the unit sphere, uniform cap measure,
-and deterministic uniform point generators."""
+"""Points and caps on the unit sphere, uniform cap measure, and
+deterministic uniform point generators."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import itertools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, ndtri
-
-from .cap_transform import weight_mass
 
 # Inputs with norm below this are degenerate and rejected outright.
 _DEGENERATE_NORM = 1e-9
@@ -50,8 +48,9 @@ def _map_blocks(fn, jobs, threads):
 
 
 def unit_vector(coords) -> np.ndarray:
-    """Normalize coords to a unit vector; rejects non-finite and near-zero input."""
-    v = np.asarray(coords, dtype=float)
+    """Normalize coords to a read-only unit vector (never the caller's array);
+    rejects non-finite and near-zero input."""
+    v = np.array(coords, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("a unit vector needs at least 2 coordinates")
     if not np.all(np.isfinite(v)):
@@ -86,17 +85,6 @@ class Cap:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, v) -> bool:
-        return cap_contains(self, v)
-
-
-def cap_contains(cap: Cap, v) -> bool:
-    """Closed membership test: v . center >= height."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != cap.center.shape:
-        raise ValueError("dimension mismatch between cap and point")
-    return bool(np.dot(v, cap.center) >= cap.height)
-
 
 def cap_measure(n: int, s: float) -> float:
     """Normalized uniform measure of a height-s cap on the (n-1)-sphere.
@@ -112,34 +100,6 @@ def cap_measure(n: int, s: float) -> float:
     if s >= 0.0:
         return float(0.5 * betainc((n - 1) / 2, 0.5, 1.0 - s * s))
     return 1.0 - float(0.5 * betainc((n - 1) / 2, 0.5, 1.0 - s * s))
-
-
-def cap_height_for_measure(n: int, a: float) -> float:
-    """Height s with cap_measure(n, s) = a, by bisection plus Newton polish."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"cap measure must lie in (0, 1), got {a}")
-    if a == 0.5:
-        return 0.0
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if cap_measure(n, mid) > a:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    # cap_measure'(s) = -(1-s^2)^((n-3)/2) / weight_mass(n)
-    mass = weight_mass(n)
-    for _ in range(3):
-        density = (1.0 - s * s) ** ((n - 3) / 2) / mass
-        if density == 0.0 or not np.isfinite(density):
-            break
-        step = (cap_measure(n, s) - a) / density
-        candidate = s + step
-        if not lo <= candidate <= hi:
-            break
-        s = candidate
-    return s
 
 
 @dataclass(frozen=True)
@@ -206,58 +166,6 @@ class PointSet:
         """Angles rescaled to [0, 1)."""
         psi = self.angles() / TWO_PI
         return np.where(psi >= 1.0, 0.0, psi)
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """A proper rotation of R^n, validated to be orthogonal with det +1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("rotation matrix must be square")
-        if not np.allclose(m.T @ m, np.eye(m.shape[0]), atol=1e-10):
-            raise ValueError("matrix is not orthogonal within 1e-10")
-        if abs(np.linalg.det(m) - 1.0) > 1e-10:
-            raise ValueError("matrix determinant is not +1 within 1e-10")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "Rotation":
-        return cls(np.eye(n))
-
-    @classmethod
-    def planar(cls, angle: float) -> "Rotation":
-        c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, -s], [s, c]]))
-
-    @classmethod
-    def random(cls, n: int, seed: int = 0) -> "Rotation":
-        rng = np.random.default_rng(seed)
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        return cls(q)
-
-    def apply(self, v) -> np.ndarray:
-        return unit_vector(self.matrix @ np.asarray(v, dtype=float))
-
-
-def rotate(ps: PointSet, rho: Rotation) -> PointSet:
-    """Apply a rotation to every point (renormalizing) preserving order."""
-    if rho.dim != ps.dim:
-        raise ValueError("dimension mismatch between rotation and point set")
-    rotated = ps.coords @ rho.matrix.T
-    prov = replace(ps.provenance, generator=f"rotated({ps.provenance.generator})")
-    return PointSet(rotated, prov)
 
 
 def radical_inverse(base: int, indices) -> np.ndarray:

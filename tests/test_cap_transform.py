@@ -12,7 +12,6 @@ from capdisc import (
     legendre_eval,
     legendre_roots,
     odd_mean_zero_check,
-    transform_apply,
     weight_mass,
 )
 
@@ -46,7 +45,7 @@ def quad_lambda(n, k, s):
 
 def test_degree_zero_is_cap_measure():
     for n in (2, 3, 4, 5, 7):
-        for s in (-0.8, -0.2, 0.0, 0.3, 0.9):
+        for s in (-0.8, -0.3, -0.2, 0.0, 0.2, 0.3, 0.6, 0.9):
             assert abs(funk_hecke_lambda(n, 0, s) - cap_measure(n, s)) <= 1e-12
 
 
@@ -127,24 +126,6 @@ def test_height_domain_errors():
         funk_hecke_lambda(3, 2, -1.5)
     with pytest.raises(ValueError):
         funk_hecke_lambda(1, 2, 0.0)
-
-
-def test_transform_apply():
-    e = np.array([0.0, 0.0, 1.0])
-    u = np.array([0.0, 1.0, 0.0])
-    # degree 0: the cap measure regardless of the evaluation point
-    for s in (-0.3, 0.2, 0.6):
-        assert transform_apply(3, 0, s, e, u) == pytest.approx(cap_measure(3, s), abs=1e-12)
-        assert transform_apply(3, 0, s, e, e) == pytest.approx(cap_measure(3, s), abs=1e-12)
-    # freak height annihilates every zonal input
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        assert abs(transform_apply(3, 3, S5, e, v)) <= 1e-12
-    assert transform_apply(3, 3, 0.0, e, e) == pytest.approx(-0.0625, abs=1e-13)
-    with pytest.raises(ValueError):
-        transform_apply(3, 3, 0.0, e, np.array([1.0, 0.0]))
 
 
 def test_odd_mean_zero():

@@ -3,9 +3,13 @@ and the telescoping identity."""
 
 import math
 import tracemalloc
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import capdisc.discrepancy
 from capdisc import (
@@ -13,7 +17,6 @@ from capdisc import (
     Driver,
     PointSet,
     Provenance,
-    Rotation,
     ZonalDensity,
     arc_discrepancy_fixed_length,
     cap_discrepancy_fixed_height,
@@ -21,10 +24,9 @@ from capdisc import (
     empirical_cap_fraction,
     generate_qud,
     generate_uniform,
-    rotate,
     telescoping_check,
 )
-from capdisc.discrepancy import _SCAN_TILE, _cap_counts, count_in_arcs
+from capdisc.discrepancy import _SCAN_TILE, _arc_ends, _cap_counts
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -62,36 +64,83 @@ def brute_arc_discrepancy(psi, a):
     return max(abs(brute_count(psi, t0, a) / n - a) for t0 in candidates)
 
 
-def concatenated_arc_sweep(ps, a):
-    """The arc sweep evaluated as one 6N array: (value, theta0) reference."""
+def old_count_in_arcs(psi_sorted, theta0, a):
+    """Float rank counts of [theta0, theta0 + a), as the sweep once took them."""
+    lo = np.atleast_1d(np.asarray(theta0, dtype=float))
+    hi = lo + a
+    wrapped = hi >= 1.0
+    hi = np.where(wrapped, hi - 1.0, hi)
+    lo_rank = np.searchsorted(psi_sorted, lo, side="left")
+    hi_rank = np.searchsorted(psi_sorted, hi, side="left")
+    return np.where(wrapped, (psi_sorted.size - lo_rank) + hi_rank, hi_rank - lo_rank)
+
+
+def concatenated_arc_sweep_value(ps, a):
+    """The value of the old sweep, evaluated as one 6N array: every
+    breakpoint and the same point +- 1e-9, counted in floats."""
     psi = np.sort(ps.turns())
     entries = psi - a
     entries = np.where(entries < 0.0, entries + 1.0, entries)
     base = np.concatenate([psi, entries])
     pts = np.mod(np.concatenate([base, base + EPS, base - EPS]), 1.0)
     pts = np.where(pts >= 1.0, 0.0, pts)
-    dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
-    best = int(np.argmax(dev))
-    return float(dev[best]), float(TWO_PI * pts[best]), int(np.count_nonzero(dev == dev[best]))
+    return float(np.abs(old_count_in_arcs(psi, pts, a) / ps.size - a).max())
+
+
+def exact_arc_counts(psi, a):
+    """Counts of [t, t + a), t at the starts psi_i and then at the entries
+    psi_i - a (mod 1), in exact integer arithmetic on the float turns."""
+    ratios = [float(x).as_integer_ratio() for x in [*psi, a]]
+    one = max(den for _, den in ratios)  # every denominator is a power of two
+    *p, length = [num * (one // den) for num, den in ratios]
+
+    def count(t):
+        hi = t + length
+        if hi <= one:
+            return bisect_left(p, hi) - bisect_left(p, t)
+        return len(p) - bisect_left(p, t) + bisect_left(p, hi - one)
+
+    return np.array([count(x) for x in p] + [count((x - length) % one) for x in p])
+
+
+def oracle_deviations(ps, a):
+    """Deviations |count/N - a| in the sweep's evaluation order (starts,
+    then entries), from exact counts, with the sorted turns."""
+    psi = np.sort(ps.turns())
+    return np.abs(exact_arc_counts(psi.tolist(), a) / ps.size - a), psi
+
+
+def reported_start(psi, a, i):
+    """The witness turn the sweep reports for breakpoint i of the order
+    starts, then entries: the float psi_i or psi_i - a, wrapped into [0, 1)."""
+    n = psi.size
+    start = float(psi[i] + 0.0) if i < n else float(psi[i - n] - a)
+    if start < 0.0:
+        start += 1.0
+    return start % 1.0
+
+
+def oracle_arc_sweep(ps, a):
+    """(value, theta0, ties) of the exact sup: the first maximum over the
+    starts, then the entries."""
+    dev, psi = oracle_deviations(ps, a)
+    i = int(np.argmax(dev))
+    return float(dev[i]), TWO_PI * reported_start(psi, a, i), int(np.count_nonzero(dev == dev[i]))
 
 
 def serial_arc_sweep(ps, a, block):
-    """The arc sweep as one serial loop over blocks, before blocks ran on
-    threads: (value, theta0)."""
-    psi = np.sort(ps.turns())
-    entries = psi - a
-    entries = np.where(entries < 0.0, entries + 1.0, entries)
-    best_val, best_start = -1.0, 0.0
-    for offset in (0.0, EPS, -EPS):
-        for base in (psi, entries):
-            for lo in range(0, base.size, block):
-                pts = np.mod(base[lo : lo + block] + offset, 1.0)
-                pts = np.where(pts >= 1.0, 0.0, pts)
-                dev = np.abs(count_in_arcs(psi, pts, a) / ps.size - a)
-                i = int(np.argmax(dev))
-                if dev[i] > best_val:
-                    best_val, best_start = float(dev[i]), float(pts[i])
-    return best_val, TWO_PI * best_start
+    """The sweep as one serial loop over blocks of starts, then of entries,
+    keeping the first block maximum that is strictly larger: (value, theta0)."""
+    dev, psi = oracle_deviations(ps, a)
+    n = psi.size
+    best_val, best_i = -1.0, 0
+    for offset in (0, n):
+        for lo in range(offset, offset + n, block):
+            part = dev[lo : min(lo + block, offset + n)]
+            i = int(np.argmax(part))
+            if part[i] > best_val:
+                best_val, best_i = float(part[i]), lo + i
+    return best_val, TWO_PI * reported_start(psi, a, best_i)
 
 
 def brute_circle_extreme(psi):
@@ -120,6 +169,11 @@ def test_empirical_cap_fraction_trivial():
     assert empirical_cap_fraction(pair, Cap(e, 0.0)) == 0.5
     with pytest.raises(ValueError):
         empirical_cap_fraction(pair, Cap(np.array([1.0, 0.0]), 0.0))
+    # a point on the boundary circle of a closed cap counts as inside
+    boundary = PointSet(np.array([[0.0, 1.0]]), Provenance("boundary", 0))
+    assert empirical_cap_fraction(boundary, Cap(np.array([1.0, 0.0]), 0.0)) == 1.0
+    with pytest.raises(ValueError):
+        Cap(e, 1.0)
 
 
 def test_half_circle_arcs_on_square_lattice():
@@ -169,6 +223,99 @@ def test_arc_sweep_matches_brute_force_random():
         assert got == want, (trial, n, a)
 
 
+EDGE_TURNS = [0.0, 5e-324, 2.0**-54, 0.25, 0.5, 1.0 - 2.0**-53]
+TOUCH_EPS = [0.0, 1e-17, -1e-17, 3e-10, -3e-10]
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@st.composite
+def near_touching_arcs(draw, lengths):
+    """(point set, p): turns with duplicated points and with points at
+    another turn + a + eps, where lengths(turns) draws p and gives a(p)."""
+    base = draw(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(EDGE_TURNS)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    turns = pointset_from_turns(base).turns()
+    p, a = draw(lengths(turns))
+    dups = draw(st.lists(st.sampled_from(base), max_size=5))
+    touch = draw(st.lists(st.tuples(st.sampled_from(turns), st.sampled_from(TOUCH_EPS)), max_size=15))
+    extra = [(float(t) + a + eps) % 1.0 for t, eps in touch]
+    return pointset_from_turns(base + dups + extra), p
+
+
+def turn_differences(turns):
+    # (t_j - t_i) mod 1, moved by up to two ulps: arcs whose ends fall on
+    # or next to a turn.
+    pairs = st.tuples(st.sampled_from(turns), st.sampled_from(turns), st.integers(-2, 2))
+    return pairs.map(lambda t: nudged(float((t[1] - t[0]) % 1.0), t[2]))
+
+
+def short_arcs(turns):
+    edges = st.sampled_from([1e-12, 2.0**-40, 0.5 - 1e-12, float(np.nextafter(0.5, 0.0))])
+    a = st.one_of(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), edges, turn_differences(turns))
+    return a.filter(lambda x: 0.0 < x < 0.5).map(lambda x: (x, x))
+
+
+def negative_heights(turns):
+    # Circle caps of height s < 0 are arcs of a = arccos(s)/pi in (1/2, 1).
+    edges = st.sampled_from([-1e-12, -0.5, float(np.nextafter(-1.0, 0.0))])
+    near = turn_differences(turns).filter(lambda d: 0.5 < d < 1.0).map(lambda d: math.cos(math.pi * d))
+    s = st.one_of(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True), edges, near)
+    return s.filter(lambda x: -1.0 < x < 0.0).map(lambda x: (x, math.acos(x) / math.pi))
+
+
+@st.composite
+def turns_and_steps(draw):
+    # Raw float turns (tiny ones included) and a step +-a, a in (0, 1),
+    # often a difference of two turns moved by a few ulps.
+    base = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+    a = draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            turn_differences(base),
+        ).filter(lambda x: 0.0 < x < 1.0)
+    )
+    return np.array(base), draw(st.sampled_from([a, -a]))
+
+
+@given(turns_and_steps())
+def test_arc_ends_are_exact_rank_queries(case):
+    base, step = case
+    q, wrapped = _arc_ends(base, step)
+    for b, qi, w in zip(base.tolist(), q.tolist(), wrapped.tolist()):
+        end = Fraction(b) + Fraction(step)
+        assert w == (not 0 <= end < 1), (b, step)
+        # qi is the smallest float >= the end taken mod 1
+        assert Fraction(float(np.nextafter(qi, -1.0))) < end % 1 <= Fraction(qi), (b, step)
+
+
+@given(near_touching_arcs(short_arcs))
+def test_arc_sweep_equals_exact_oracle(case):
+    ps, a = case
+    rep = arc_discrepancy_fixed_length(ps, a)
+    value, theta0, _ = oracle_arc_sweep(ps, a)
+    assert rep.value == value
+    assert rep.witness["theta0"] == theta0
+
+
+@given(near_touching_arcs(negative_heights))
+def test_circle_cap_sweep_past_half_a_turn_equals_exact_oracle(case):
+    ps, s = case
+    rep = cap_discrepancy_fixed_height(ps, s, M=1)
+    value, theta0, _ = oracle_arc_sweep(ps, math.acos(s) / math.pi)
+    assert rep.value == value
+    assert rep.witness["theta0"] == theta0
+
+
 @pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 3])
 @pytest.mark.parametrize("kind", ["random", "duplicates", "kronecker"])
 def test_arc_sweep_matches_concatenated_sweep(n, kind):
@@ -181,8 +328,8 @@ def test_arc_sweep_matches_concatenated_sweep(n, kind):
         ps = generate_uniform(2, n, "kronecker_s1")
     for a in (1.0 / 3.0, 0.3, 0.25, 0.01):
         rep = arc_discrepancy_fixed_length(ps, a)
-        value, theta0, ties = concatenated_arc_sweep(ps, a)
-        assert rep.value == value, (kind, n, a)
+        value, theta0, ties = oracle_arc_sweep(ps, a)
+        assert rep.value == value == concatenated_arc_sweep_value(ps, a), (kind, n, a)
         assert rep.witness["theta0"] == theta0, (kind, n, a)
         if kind == "kronecker":
             assert ties > 1  # the witness is the first of several maxima
@@ -233,9 +380,9 @@ def test_threaded_arc_sweep_keeps_the_first_of_maxima_tied_across_blocks(monkeyp
     cluster = 0.1 + 1e-3 * np.arange(block)
     ps = pointset_from_turns(np.concatenate([cluster, cluster + 0.5]))
     a = 0.25
-    psi = np.sort(ps.turns())
-    starts = np.abs(count_in_arcs(psi, psi, a) / ps.size - a)
-    assert starts[0] == starts[block] == starts.max()
+    dev, psi = oracle_deviations(ps, a)
+    starts = dev[: ps.size]
+    assert starts[0] == starts[block] == dev.max()
     assert_sweep_matches_serial(ps, a, block)
     rep = arc_discrepancy_fixed_length(ps, a, threads=2)
     assert rep.witness["theta0"] == TWO_PI * psi[0]
@@ -275,10 +422,11 @@ def test_arc_sweep_rotation_equivariance():
     rng = np.random.default_rng(22)
     psi = rng.uniform(0.0, 1.0, 80)
     ps = pointset_from_turns(psi)
-    rho = Rotation.planar(1.234567)
+    c, s = math.cos(1.234567), math.sin(1.234567)
+    rotated = PointSet(ps.coords @ np.array([[c, -s], [s, c]]).T, ps.provenance)
     a = 0.245
     assert arc_discrepancy_fixed_length(ps, a).value == arc_discrepancy_fixed_length(
-        rotate(ps, rho), a
+        rotated, a
     ).value
 
 
@@ -380,10 +528,20 @@ def test_cap_search_zonal_counterexample_contrast():
 def test_cap_search_dim2_redirect():
     ps = generate_uniform(2, 500, "kronecker_s1")
     rep = cap_discrepancy_fixed_height(ps, 0.5, M=10)
-    # height-0.5 caps on the circle are closed arcs of fraction arccos(0.5)/pi
+    # height-0.5 caps on the circle are swept as half-open arcs of fraction
+    # arccos(0.5)/pi, exactly as arc-fixed sweeps them
     arc = arc_discrepancy_fixed_length(ps, math.acos(0.5) / math.pi)
     assert rep.value == arc.value
     assert rep.method == "exact"
+
+
+def test_cap_search_dim2_counts_half_open_arcs():
+    # Every half-open half circle [t, t + 1/2) holds exactly 2 of the 4
+    # lattice points; a closed half circle starting at a point holds 3.
+    ps = pointset_from_turns([0.0, 0.25, 0.5, 0.75])
+    assert ps.turns().tolist() == [0.0, 0.25, 0.5, 0.75]
+    assert math.acos(0.0) / math.pi == 0.5
+    assert cap_discrepancy_fixed_height(ps, 0.0, M=1).value == 0.0
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0, 1.5, math.nan])

@@ -11,23 +11,33 @@ from capdisc import (
     Cap,
     PointSet,
     Provenance,
-    Rotation,
+    ZonalDensity,
     arc_discrepancy_fixed_length,
-    cap_contains,
-    cap_height_for_measure,
     cap_measure,
     circle_discrepancy,
     empirical_cap_fraction,
     generate_uniform,
     load_points,
     radical_inverse,
-    rotate,
     save_points,
     unit_vector,
 )
 from capdisc.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def random_rotation(n, seed):
+    """A proper rotation of R^n: the Q factor of a Gaussian matrix, det +1."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def rotate(ps, rho):
+    return PointSet(ps.coords @ rho.T, ps.provenance)
 
 
 def random_pointset(rng, n, N, tag="test"):
@@ -44,6 +54,22 @@ def test_unit_vector_normalizes():
         unit_vector([1e-10, 0.0])
     with pytest.raises(ValueError):
         unit_vector([1.0])
+
+
+def test_unit_vector_leaves_the_callers_array_writeable():
+    for coords in ([0.0, 0.0, 1.0], [3.0, 4.0], [1e308, 1e308, 0.0]):
+        c = np.array(coords)
+        v = unit_vector(c)
+        assert not v.flags.writeable
+        assert not np.shares_memory(v, c)
+        assert c.flags.writeable and c.tolist() == coords
+    c, b = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+    cap = Cap(c, 0.1)
+    density = ZonalDensity(3, 3, 0.8, b)
+    assert c.flags.writeable and b.flags.writeable
+    c[2] = b[2] = -1.0  # the cap and the density keep their own copies
+    assert cap.center.tolist() == [0.0, 0.0, 1.0]
+    assert density.axis.tolist() == [0.6, 0.0, 0.8]
 
 
 def test_unit_vector_rescales_a_norm_that_overflows():
@@ -67,21 +93,6 @@ def test_unit_vector_rejects_non_finite(bad):
             unit_vector(coords)
     with pytest.raises(ValueError, match="non-finite"):
         Cap([bad, 0.0, 1.0], 0.5)
-
-
-def test_cap_contains_examples():
-    e = unit_vector([0.0, 0.0, 1.0])
-    cap = Cap(e, 0.5)
-    assert cap_contains(cap, e)
-    assert not cap_contains(cap, -e)
-    # boundary point of the closed hemisphere counts as inside
-    e1 = unit_vector([1.0, 0.0])
-    e2 = unit_vector([0.0, 1.0])
-    assert cap_contains(Cap(e1, 0.0), e2)
-    with pytest.raises(ValueError):
-        cap_contains(cap, e1)
-    with pytest.raises(ValueError):
-        Cap(e, 1.0)
 
 
 def test_cap_measure_examples():
@@ -118,20 +129,6 @@ def test_cap_measure_symmetry_and_monotonicity():
         cap_measure(3, 1.0)
     with pytest.raises(ValueError):
         cap_measure(3, -1.2)
-
-
-def test_cap_height_for_measure():
-    assert cap_height_for_measure(4, 0.5) == 0.0
-    assert cap_height_for_measure(3, 0.25) == pytest.approx(0.5, abs=1e-12)
-    assert cap_height_for_measure(2, 1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
-    for n in (2, 3, 5):
-        for a in np.linspace(0.01, 0.99, 100):
-            s = cap_height_for_measure(n, float(a))
-            assert abs(cap_measure(n, s) - a) <= 1e-10
-    with pytest.raises(ValueError):
-        cap_height_for_measure(3, 0.0)
-    with pytest.raises(ValueError):
-        cap_height_for_measure(3, 1.0)
 
 
 def test_kronecker_angles():
@@ -183,16 +180,17 @@ def test_radical_inverse_base2():
 
 def test_rotation_identity_and_involution():
     ps = generate_uniform(2, 50, "kronecker_s1")
-    ident = rotate(ps, Rotation.identity(2))
+    ident = rotate(ps, np.eye(2))
     assert np.array_equal(ident.coords, ps.coords)
-    twice = rotate(rotate(ps, Rotation.planar(math.pi)), Rotation.planar(math.pi))
+    half_turn = np.array([[math.cos(math.pi), -math.sin(math.pi)], [math.sin(math.pi), math.cos(math.pi)]])
+    twice = rotate(rotate(ps, half_turn), half_turn)
     assert np.max(np.abs(twice.coords - ps.coords)) <= 1e-12
 
 
 def test_rotation_preserves_dot_products():
     rng = np.random.default_rng(11)
     ps = random_pointset(rng, 4, 30)
-    rho = Rotation.random(4, seed=3)
+    rho = random_rotation(4, seed=3)
     rotated = rotate(ps, rho)
     before = ps.coords @ ps.coords.T
     after = rotated.coords @ rotated.coords.T
@@ -203,22 +201,15 @@ def test_rotation_invariance_of_cap_counts():
     rng = np.random.default_rng(12)
     for n in (2, 3, 5):
         ps = random_pointset(rng, n, 200)
-        rho = Rotation.random(n, seed=int(rng.integers(1 << 30)))
+        rho = random_rotation(n, seed=int(rng.integers(1 << 30)))
+        assert np.allclose(rho.T @ rho, np.eye(n), atol=1e-12)
+        assert np.linalg.det(rho) == pytest.approx(1.0, abs=1e-12)
         center = rng.standard_normal(n)
         cap = Cap(center, 0.3)
-        rotated_cap = Cap(rho.matrix @ cap.center, 0.3)
+        rotated_cap = Cap(rho @ cap.center, 0.3)
         assert empirical_cap_fraction(rotate(ps, rho), rotated_cap) == empirical_cap_fraction(
             ps, cap
         )
-
-
-def test_rotation_validation():
-    with pytest.raises(ValueError):
-        Rotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        Rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))  # det -1
-    with pytest.raises(ValueError):
-        rotate(generate_uniform(2, 5, "kronecker_s1"), Rotation.identity(3))
 
 
 def test_pointset_validation():
