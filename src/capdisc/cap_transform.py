@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta as _beta_fn
 
 from .orthopoly import legendre_eval
 
@@ -35,7 +34,9 @@ def weight_mass(n: int) -> float:
     """Full integral of (1-t^2)^((n-3)/2) over [-1, 1]."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    return float(_beta_fn(0.5, (n - 1) / 2))
+    from scipy.special import beta
+
+    return float(beta(0.5, (n - 1) / 2))
 
 
 def _zonal_integral(n, k, theta_lo, theta_hi, order):

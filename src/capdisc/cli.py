@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -213,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="primary output file")
     common.add_argument("--json", default=None, help="write the JSON report here instead of stdout")
-    common.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads for the cap scan, the arc sweep and gen; each splits "
-                             "fixed blocks across them, so results do not depend on the thread count")
+    common.add_argument("--threads", type=int, default=None,
+                        help="worker threads for the cap scan, the arc sweep and gen (default: the "
+                             "CPUs this process may run on); each splits fixed blocks across them, "
+                             "so results do not depend on the thread count")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
 
@@ -272,9 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a parse, so main builds it once.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    if args.threads is None:
+        # Resolved per call, so the shared parser never freezes it.
+        args.threads = _default_threads()
     if getattr(args, "axis", None) is None and args.command == "verify-caps":
         args.axis = ",".join(["0"] * (args.n - 1) + ["1"])
     try:

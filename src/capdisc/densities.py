@@ -280,11 +280,13 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
         if driver.ndim != 2:
             raise ValueError("zonal generation needs a 2-D driver")
         e, b1, b2 = _orthonormal_frame(d.axis)
+        # Once, on the calling thread: its first call imports scipy.
+        mass = weight_mass(3)
 
         def transport(xy):
             t = _invert_monotone_vec(
                 lambda tt: _zonal_cdf_dim3(d, tt),
-                lambda tt: d.density_at_t(tt) / weight_mass(3),
+                lambda tt: d.density_at_t(tt) / mass,
                 xy[:, 0],
                 -1.0,
                 1.0,

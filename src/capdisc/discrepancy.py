@@ -34,6 +34,9 @@ _SCAN_CHUNK = 256
 # scan's memory independent of N and M.  Larger tiles ran slower.
 _SCAN_TILE = 1 << 17
 
+# Tile rows summed per uint8 partial count: 255 ones still fit in a byte.
+_BYTE_ROWS = 255
+
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
@@ -147,9 +150,9 @@ def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> Discrepancy
             counts = _count_ranks(psi, ends, block, wrapped)
         dev = np.abs(counts / ps.size - a)
         i = int(np.argmax(dev))
-        # The reported start is the float psi_i (-0.0 made 0.0) or psi_i - a,
-        # wrapped into [0, 1).
-        start = float(block[i]) + 0.0 if step > 0.0 else float(block[i] - a)
+        # The reported start is the float psi_i or psi_i - a, wrapped into
+        # [0, 1).
+        start = float(block[i]) if step > 0.0 else float(block[i] - a)
         if start < 0.0:
             start += 1.0
         return float(dev[i]), start % 1.0
@@ -229,13 +232,26 @@ def _tangent_basis(u: np.ndarray) -> np.ndarray:
     return q[:, 1:].T
 
 
+def _tile_rows(m_dirs):
+    # Points per tile, so that a tile's dot-product block holds about
+    # _SCAN_TILE entries.
+    return max(1, _SCAN_TILE // m_dirs)
+
+
 def _cap_counts(coords, dirs, s):
-    # Points with x . u >= s for each row u of dirs, over point tiles whose
-    # dot-product block holds about _SCAN_TILE entries.
-    rows = max(1, _SCAN_TILE // len(dirs))
-    counts = np.zeros(len(dirs), dtype=np.int64)
+    # Points with x . u >= s for each row u of dirs, tile by tile.  Each
+    # tile's 0/1 bytes are summed as uint8 over runs of _BYTE_ROWS rows,
+    # which cannot overflow, so the int64 counts stay exact.
+    m_dirs = len(dirs)
+    rows = _tile_rows(m_dirs)
+    counts = np.zeros(m_dirs, dtype=np.int64)
     for p0 in range(0, coords.shape[0], rows):
-        counts += np.count_nonzero(coords[p0 : p0 + rows] @ dirs.T >= s, axis=0)
+        inside = (coords[p0 : p0 + rows] @ dirs.T >= s).view(np.uint8)
+        full = inside.shape[0] - inside.shape[0] % _BYTE_ROWS
+        if full:
+            runs = inside[:full].reshape(-1, _BYTE_ROWS, m_dirs)
+            counts += np.add.reduce(runs, axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
+        counts += np.add.reduce(inside[full:], axis=0, dtype=np.uint8)
     return counts
 
 

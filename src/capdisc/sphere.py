@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, ndtri
 
 # Inputs with norm below this are degenerate and rejected outright.
 _DEGENERATE_NORM = 1e-9
@@ -97,6 +96,8 @@ def cap_measure(n: int, s: float) -> float:
         raise ValueError(f"dimension must be >= 2, got {n}")
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
+    from scipy.special import betainc
+
     if s >= 0.0:
         return float(0.5 * betainc((n - 1) / 2, 0.5, 1.0 - s * s))
     return 1.0 - float(0.5 * betainc((n - 1) / 2, 0.5, 1.0 - s * s))
@@ -158,7 +159,8 @@ class PointSet:
         """Canonical angles in [0, 2*pi) for a planar point set."""
         if self.dim != 2:
             raise ValueError("angles are defined for dim 2 only")
-        theta = np.arctan2(self.coords[:, 1], self.coords[:, 0])
+        # + 0.0 turns the -0.0 of a point at (x > 0, -0.0) into 0.0.
+        theta = np.arctan2(self.coords[:, 1], self.coords[:, 0]) + 0.0
         theta = np.where(theta < 0.0, theta + TWO_PI, theta)
         return np.where(theta >= TWO_PI, 0.0, theta)
 
@@ -222,6 +224,8 @@ def generate_uniform(n: int, N: int, method: str, seed: int = 0) -> PointSet:
     elif method == "halton_inverse":
         if n > len(_PRIMES):
             raise ValueError(f"halton_inverse supports n <= {len(_PRIMES)}")
+        from scipy.special import ndtri
+
         # Index 0 maps to the excluded quantile 0; start at 1 + seed.
         idx = np.arange(1 + seed, 1 + seed + N)
         gauss = np.column_stack([ndtri(radical_inverse(p, idx)) for p in _PRIMES[:n]])

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -19,15 +22,16 @@ from capdisc import (
     freak_heights,
     funk_hecke_lambda,
     generate_qud,
+    generate_uniform,
     legendre_eval,
     load_points,
+    save_points,
 )
 from capdisc.cli import main
 from capdisc.discrepancy import direction_grid
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "output.schema.json").read_text())
 
 S5 = "0.4472135954999579"
 
@@ -373,3 +377,118 @@ def test_timestamp_present_by_default(capsys):
     assert code == 0
     assert "timestamp" in doc
     validate(doc)
+
+
+def run_fresh(script, cwd):
+    """Run a Python script in a new interpreter that imports capdisc from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_disc_circle_reports_a_positive_zero_start(tmp_path):
+    # atan2(-0.0, 1) is -0.0; the turn of the point (1, -0) must be 0.0.
+    pts = tmp_path / "signed.csv"
+    pts.write_text("# dim=2 generator=hand seed=0\n1,-0\n0,1\n-1,0\n")
+    out = tmp_path / "circle.json"
+    assert main(["disc", "--in", str(pts), "--family", "circle", "--no-timestamp",
+                 "--json", str(out)]) == 0
+    text = out.read_text()
+    assert '"theta0": 0,' in text, text
+    theta0 = json.loads(text)["result"]["witness"]["theta0"]
+    assert theta0 == 0.0 and math.copysign(1.0, theta0) == 1.0
+
+
+def test_commands_that_need_no_scipy_never_import_it(tmp_path):
+    # Start-up cost: planar generation, the circle families and the freak
+    # heights must run without loading scipy.
+    script = """
+import sys
+import capdisc.cli
+
+assert "scipy" not in sys.modules, "import capdisc.cli"
+pts = ["--in", "planar.csv"]
+for argv in (
+    ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", "planar.csv"],
+    ["disc", *pts, "--family", "arc-fixed", "--a", "0.3"],
+    ["disc", *pts, "--family", "circle"],
+    ["disc", *pts, "--family", "telescope", "--a", "0.3", "--m", "4"],
+    ["disc", *pts, "--family", "cap-fixed", "--s", "0.5"],
+    ["freak-heights", "--n", "3", "--max-degree", "6"],
+):
+    assert capdisc.cli.main(argv + ["--json", "out.json", "--no-timestamp"]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+    proc = run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["gen-zonal", "cap-fixed-n3", "cap-fixed-n4",
+                                     "verify-caps", "eigenvalue"])
+def test_scipy_commands_work_first_in_a_fresh_interpreter(tmp_path, command):
+    # Each loads scipy on its first use and writes the same bytes as a run
+    # in this process.
+    for n in (3, 4):
+        save_points(generate_uniform(n, 400, "random", seed=n), tmp_path / f"u{n}.csv")
+    argv = {
+        "gen-zonal": ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300",
+                      "--out", str(tmp_path / "z.csv")],
+        "cap-fixed-n3": ["disc", "--in", str(tmp_path / "u3.csv"), "--family", "cap-fixed",
+                         "--s", S5, "--M", "50", "--refine", "2"],
+        "cap-fixed-n4": ["disc", "--in", str(tmp_path / "u4.csv"), "--family", "cap-fixed",
+                         "--s", "0.3", "--M", "50", "--refine", "2"],
+        "verify-caps": ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5,
+                        "--M", "100"],
+        "eigenvalue": ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.25"],
+    }[command] + ["--json", str(tmp_path / "out.json"), "--no-timestamp"]
+    script = (
+        "import sys\nimport capdisc.cli\n"
+        f"rc = capdisc.cli.main({argv!r})\n"
+        "assert 'scipy' in sys.modules\nsys.exit(rc)\n"
+    )
+    proc = run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    fresh = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == fresh
+
+
+def test_main_builds_one_parser_and_reuses_it(tmp_path, monkeypatch):
+    built = []
+    build = capdisc.cli.build_parser
+    monkeypatch.setattr(capdisc.cli, "build_parser", lambda: built.append(1) or build())
+    pts = str(tmp_path / "planar.csv")
+    verify = ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5, "--M", "100"]
+    disc = ["disc", "--in", pts, "--family", "arc-fixed", "--a", "0.3"]
+    commands = [
+        verify + ["--axis", "0,1,0"],
+        verify,
+        ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", pts],
+        disc + ["--threads", "1"],
+        disc + ["--threads", "2"],
+        disc,
+    ]
+    reports = []
+    for i, argv in enumerate(commands):
+        argv = argv + ["--json", str(tmp_path / f"r{i}.json"), "--no-timestamp"]
+        main(argv)
+        reports.append((argv, (tmp_path / f"r{i}.json").read_bytes()))
+    assert len(built) <= 1
+    configs = [json.loads(text)["config"] for _, text in reports]
+    assert configs[0]["axis"] == "0,1,0" and configs[1]["axis"] == "0,0,1"
+    assert [c["threads"] for c in configs[3:5]] == [1, 2]
+    assert configs[5]["threads"] == capdisc.cli._default_threads()
+    for argv, text in reports:
+        proc = run_fresh(f"import capdisc.cli, sys\nsys.exit(capdisc.cli.main({argv!r}))\n",
+                         tmp_path)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert Path(argv[argv.index("--json") + 1]).read_bytes() == text, argv
+
+    # The --threads default is resolved on each call, not when the parser
+    # was built.
+    out = tmp_path / "threads.json"
+    for cpus in (3, 5):
+        monkeypatch.setattr(capdisc.cli, "_default_threads", lambda: cpus)
+        assert main(disc + ["--json", str(out), "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["config"]["threads"] == cpus

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -388,6 +389,22 @@ def test_blocked_generation_under_thread_stress(monkeypatch):
         assert time.perf_counter() - t0 < 60.0
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_zonal_generation_takes_the_weight_mass_once_on_the_calling_thread(monkeypatch):
+    # The first weight_mass in a process imports scipy, which a block worker
+    # thread must not do.
+    d = ZonalDensity(3, 3, 0.8, np.array([0.0, 0.0, 1.0]))
+    callers = []
+
+    def spy(n):
+        callers.append(threading.current_thread())
+        return weight_mass(n)
+
+    monkeypatch.setattr(capdisc.densities, "weight_mass", spy)
+    monkeypatch.setattr(capdisc.densities, "_SWEEP_BLOCK", 64)
+    generate_qud(d, 300, Driver("halton_2_3"), threads=2)
+    assert callers == [threading.main_thread()]
 
 
 def test_generate_rejects_fewer_than_one_thread():

@@ -20,13 +20,14 @@ from capdisc import (
     ZonalDensity,
     arc_discrepancy_fixed_length,
     cap_discrepancy_fixed_height,
+    cap_measure,
     circle_discrepancy,
     empirical_cap_fraction,
     generate_qud,
     generate_uniform,
     telescoping_check,
 )
-from capdisc.discrepancy import _SCAN_TILE, _arc_ends, _cap_counts
+from capdisc.discrepancy import _arc_ends, _cap_counts, _tile_rows
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -582,7 +583,7 @@ def test_cap_search_rejects_bad_directions():
 
 @pytest.mark.parametrize("m_dirs", [1, 4, 255, 256, 257])
 def test_cap_counts_match_one_shot_at_tile_edges(m_dirs):
-    rows = _SCAN_TILE // m_dirs  # 512 rows for the 256-direction scan, 32768 for 4 probes
+    rows = _tile_rows(m_dirs)  # 512 rows for the 256-direction scan, 32768 for 4 probes
     rng = np.random.default_rng(m_dirs)
     dirs = generate_uniform(3, m_dirs, "random", seed=m_dirs).coords.copy()
     dirs[0] = [0.0, 0.0, 1.0]
@@ -600,9 +601,19 @@ def test_cap_counts_match_one_shot_at_tile_edges(m_dirs):
             got = _cap_counts(coords, dirs, s)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (n_pts, s)
+        # Every point in the cap of the first direction: each full run of
+        # the kernel's uint8 partial sums reaches 255 and must not wrap.
+        pole = np.tile(dirs[0], (n_pts, 1))
+        want = (pole @ dirs.T >= 0.5).sum(axis=0)
+        got = _cap_counts(pole, dirs, 0.5)
+        assert got[0] == n_pts
+        assert np.array_equal(got, want), n_pts
 
 
 def test_cap_search_memory_does_not_grow_with_n():
+    # The first cap measure in a process imports scipy; keep that one-time
+    # allocation out of the traced peaks.
+    cap_measure(3, S5)
     peaks = []
     for n_pts in (2**14, 2**17):
         ps = generate_uniform(3, n_pts, "random", seed=9)
