@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import legendre_eval
+from .orthopoly import MAX_DEGREE, legendre_eval
 
 __all__ = [
     "funk_hecke_lambda",
@@ -66,12 +66,13 @@ def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> flo
     so that averaging v -> P_k(e . v) over the cap C_s(u) gives
     lambda_k(s) * P_k(e . u); for k=0 this is the uniform cap measure.
     Computed by Gauss-Legendre quadrature of order max(40, 4k) after the
-    substitution t = cos(theta).
+    substitution t = cos(theta).  k is capped at MAX_DEGREE: the recurrence
+    is unvalidated past it, and the rule's eigen-solve cost grows as order^3.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    if not 0 <= k <= MAX_DEGREE:
+        raise ValueError(f"degree must lie in [0, {MAX_DEGREE}], got {k}")
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if order is None:

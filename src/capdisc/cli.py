@@ -141,37 +141,25 @@ def _cmd_eigenvalue(args) -> int:
     return 0
 
 
-def _report_to_dict(report):
-    d = dataclasses.asdict(report)
-    if d.get("trace") is not None:
-        d["trace"] = list(d["trace"])
-    return d
-
-
 def _cmd_disc(args) -> int:
     ps = load_points(args.infile)
+    if args.family in ("arc-fixed", "telescope") and args.a is None:
+        raise ValueError(f"family {args.family} needs --a")
     if args.family == "arc-fixed":
-        if args.a is None:
-            raise ValueError("family arc-fixed needs --a")
-        report = _report_to_dict(arc_discrepancy_fixed_length(ps, args.a, threads=args.threads))
+        res = arc_discrepancy_fixed_length(ps, args.a, threads=args.threads)
     elif args.family == "cap-fixed":
         if args.s is None:
             raise ValueError("family cap-fixed needs --s")
-        report = _report_to_dict(
-            cap_discrepancy_fixed_height(
-                ps, args.s, args.M, refine=args.refine, threads=args.threads
-            )
-        )
+        res = cap_discrepancy_fixed_height(ps, args.s, args.M, refine=args.refine, threads=args.threads)
     elif args.family == "circle":
-        report = _report_to_dict(circle_discrepancy(ps))
+        res = circle_discrepancy(ps)
     elif args.family == "telescope":
-        if args.a is None:
-            raise ValueError("family telescope needs --a")
         res = telescoping_check(ps, args.a, args.m)
-        report = dataclasses.asdict(res)
-        report["exact_match"] = res.lhs == res.rhs
     else:  # pragma: no cover - argparse enforces choices
         raise ValueError(f"unknown family {args.family!r}")
+    report = dataclasses.asdict(res)
+    if args.family == "telescope":
+        report["exact_match"] = res.lhs == res.rhs
     _emit(args, "disc", report)
     return 0
 
@@ -216,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", default=None, help="write the JSON report here instead of stdout")
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads for the cap scan, the arc sweep and gen (default: the "
-                             "CPUs this process may run on); each splits fixed blocks across them, "
+                             "CPUs this process may run on); the cap scan splits the points into "
+                             "runs whose exact counts are summed, the others split fixed blocks, "
                              "so results do not depend on the thread count")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cap_transform import funk_hecke_lambda, weight_mass
-from .orthopoly import legendre_eval
+from .orthopoly import MAX_DEGREE, legendre_eval
 from .sphere import (
     _SWEEP_BLOCK,
     Cap,
@@ -53,6 +53,15 @@ class Driver:
             raise ValueError(f"unknown driver {self.kind!r}; expected one of {DRIVER_KINDS}")
         if self.offset < 0:
             raise ValueError("driver offset must be nonnegative")
+        self._check_count(1)
+
+    def _check_count(self, N):
+        # Indices offset .. offset + N - 1 are int64 driver inputs.
+        if N < 1:
+            raise ValueError("need N >= 1 driver values")
+        last = self.offset + N - 1
+        if last > np.iinfo(np.int64).max:
+            raise ValueError(f"driver indices up to {last} pass the int64 maximum 2^63 - 1")
 
     @property
     def ndim(self) -> int:
@@ -60,9 +69,11 @@ class Driver:
 
     def values(self, N: int) -> np.ndarray:
         """First N outputs: shape (N,) for 1-D kinds, (N, 2) for halton_2_3."""
-        if N < 1:
-            raise ValueError("need N >= 1 driver values")
-        idx = np.arange(self.offset, self.offset + N)
+        self._check_count(N)
+        # From int64 zero: arange(offset, offset + N) turns float64 when the
+        # stop reaches 2^63.
+        idx = np.arange(N, dtype=np.int64)
+        idx += self.offset
         if self.kind == "van_der_corput_base2":
             return radical_inverse(2, idx)
         if self.kind == "halton_2_3":
@@ -112,8 +123,8 @@ class ZonalDensity:
     def __post_init__(self):
         if self.dim < 3:
             raise ValueError(f"zonal densities need dim >= 3, got {self.dim}")
-        if self.degree < 1 or self.degree % 2 == 0:
-            raise ValueError(f"degree must be odd and positive, got {self.degree}")
+        if not 1 <= self.degree <= MAX_DEGREE or self.degree % 2 == 0:
+            raise ValueError(f"degree must be odd and in [1, {MAX_DEGREE}], got {self.degree}")
         if not 0.0 < self.coefficient < 1.0:
             raise ValueError(f"coefficient must lie in (0, 1), got {self.coefficient}")
         axis = unit_vector(self.axis)
@@ -261,6 +272,7 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     """
     if N < 1:
         raise ValueError(f"need N >= 1 points, got {N}")
+    driver._check_count(N)
 
     if isinstance(d, PlanarRationalDensity):
         if driver.ndim != 1:

@@ -28,8 +28,6 @@ from .sphere import (
     generate_uniform,
 )
 
-_SCAN_CHUNK = 256
-
 # Dot products per tile in the cap counts (1 MiB of float64); keeps the
 # scan's memory independent of N and M.  Larger tiles ran slower.
 _SCAN_TILE = 1 << 17
@@ -71,8 +69,7 @@ def empirical_cap_fraction(ps: PointSet, cap: Cap) -> float:
         raise ValueError("dimension mismatch between point set and cap")
     if ps.size < 1:
         raise ValueError("empty point set")
-    count = int(np.count_nonzero(ps.coords @ cap.center >= cap.height))
-    return count / ps.size
+    return int(_cap_counts(ps.coords, cap.center[None, :], cap.height)[0]) / ps.size
 
 
 def _count_ranks(psi_sorted, lo, hi, wrapped):
@@ -157,11 +154,8 @@ def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> Discrepancy
             start += 1.0
         return float(dev[i]), start % 1.0
 
-    # The strict ">" keeps the first maximum in evaluation order as the witness.
-    best_val, best_start = -1.0, 0.0
-    for val, start in _map_blocks(sweep_block, jobs, threads):
-        if val > best_val:
-            best_val, best_start = val, start
+    # max keeps the first maximum in evaluation order as the witness.
+    best_val, best_start = max(_map_blocks(sweep_block, jobs, threads), key=lambda r: r[0])
     witness = {"theta0": TWO_PI * best_start, "length": float(TWO_PI * a)}
     return DiscrepancyReport(
         family=family,
@@ -238,38 +232,34 @@ def _tile_rows(m_dirs):
     return max(1, _SCAN_TILE // m_dirs)
 
 
-def _cap_counts(coords, dirs, s):
+def _cap_counts(coords, dirs, s, threads=1):
     # Points with x . u >= s for each row u of dirs, tile by tile.  Each
     # tile's 0/1 bytes are summed as uint8 over runs of _BYTE_ROWS rows,
-    # which cannot overflow, so the int64 counts stay exact.
-    m_dirs = len(dirs)
+    # which cannot overflow, so the int64 counts stay exact.  The points
+    # are cut into at most `threads` runs of whole tiles, counted in
+    # parallel; integer sums are exact, so the cut never changes a count.
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got threads={threads}")
+    n_pts, m_dirs = coords.shape[0], len(dirs)
     rows = _tile_rows(m_dirs)
+    tiles = -(-n_pts // rows)
+    span = rows * max(1, -(-tiles // threads))  # points per run
+
+    def count_run(lo):
+        counts = np.zeros(m_dirs, dtype=np.int64)
+        for p0 in range(lo, min(lo + span, n_pts), rows):
+            inside = (coords[p0 : p0 + rows] @ dirs.T >= s).view(np.uint8)
+            full = inside.shape[0] - inside.shape[0] % _BYTE_ROWS
+            if full:
+                runs = inside[:full].reshape(-1, _BYTE_ROWS, m_dirs)
+                counts += np.add.reduce(runs, axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
+            counts += np.add.reduce(inside[full:], axis=0, dtype=np.uint8)
+        return counts
+
     counts = np.zeros(m_dirs, dtype=np.int64)
-    for p0 in range(0, coords.shape[0], rows):
-        inside = (coords[p0 : p0 + rows] @ dirs.T >= s).view(np.uint8)
-        full = inside.shape[0] - inside.shape[0] % _BYTE_ROWS
-        if full:
-            runs = inside[:full].reshape(-1, _BYTE_ROWS, m_dirs)
-            counts += np.add.reduce(runs, axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
-        counts += np.add.reduce(inside[full:], axis=0, dtype=np.uint8)
+    for run in _map_blocks(count_run, range(0, n_pts, span), threads):
+        counts += run
     return counts
-
-
-def _deviation_scan(coords, dirs, s, target, threads):
-    n_pts = coords.shape[0]
-
-    def scan_chunk(c0):
-        counts = _cap_counts(coords, dirs[c0 : c0 + _SCAN_CHUNK], s)
-        dev = np.abs(counts / n_pts - target)
-        i = int(np.argmax(dev))
-        return float(dev[i]), c0 + i
-
-    results = _map_blocks(scan_chunk, range(0, dirs.shape[0], _SCAN_CHUNK), threads)
-    best_val, best_idx = -1.0, -1
-    for val, idx in results:  # deterministic order regardless of thread count
-        if val > best_val or (val == best_val and idx < best_idx):
-            best_val, best_idx = val, idx
-    return best_val, best_idx
 
 
 def cap_discrepancy_fixed_height(
@@ -289,11 +279,11 @@ def cap_discrepancy_fixed_height(
     carries the witness direction and the refinement trace.
 
     Given `directions` replace the grid: an (M, n) array of nonzero finite
-    rows, each normalized to unit length.  Caps are counted 256 directions
-    at a time over point tiles of 1 MiB of dot products, so memory does not
-    grow with N or M; `threads` (>= 1) scan those 256-direction chunks (on
-    the circle, the arc sweep's blocks) in parallel, and the result does
-    not depend on it.
+    rows, each normalized to unit length.  Caps are counted over point
+    tiles of about 1 MiB of dot products, so memory does not grow with N or
+    M; `threads` (>= 1) count runs of whole tiles in parallel (on the
+    circle, the arc sweep's blocks), and since the counts are exact
+    integer sums the result does not depend on it.
 
     On the circle (dim 2) the value is exact instead: the arc sweep over
     the half-open arcs [t, t + a) of a = arccos(s)/pi turns, for any s in
@@ -320,21 +310,21 @@ def cap_discrepancy_fixed_height(
         dirs = PointSet(dirs, Provenance("directions")).coords
     coords = ps.coords
 
-    best_val, best_idx = _deviation_scan(coords, dirs, s, target, threads)
-    u = dirs[best_idx] / np.linalg.norm(dirs[best_idx])
-    trace = [best_val]
+    devs = np.abs(_cap_counts(coords, dirs, s, threads) / ps.size - target)
+    i = int(np.argmax(devs))  # the first maximum
+    u = dirs[i] / np.linalg.norm(dirs[i])
+    current = float(devs[i])
+    trace = [current]
 
     step = 0.1
-    current = best_val
     for _ in range(refine):
         if step < 1e-4:
             break
+        # Probes u cos(step) +- tau sin(step) for each tangent tau, the +
+        # probe first; negation is exact, so the - probe is u cos - tau sin.
         tangents = _tangent_basis(u)
-        probes = []
-        for tau in tangents:
-            probes.append(np.cos(step) * u + np.sin(step) * tau)
-            probes.append(np.cos(step) * u - np.sin(step) * tau)
-        probes = np.array(probes)
+        signed = np.stack([tangents, -tangents], axis=1).reshape(-1, n)
+        probes = np.cos(step) * u + np.sin(step) * signed
         probes /= np.linalg.norm(probes, axis=1)[:, None]
         counts = _cap_counts(coords, probes, s)
         devs = np.abs(counts / ps.size - target)

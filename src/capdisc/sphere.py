@@ -19,11 +19,8 @@ _UNIT_TOL = 1e-12
 
 TWO_PI = 2.0 * np.pi
 
-# Rows formatted per write call in save_points; bounds the temporary string.
-_CSV_BLOCK = 65_536
-
-# Points per block in generation and in the arc sweep; keeps their
-# temporaries O(block) and fixes the block edges for every thread count.
+# Points per block in generation, the arc sweep and save_points; keeps
+# their temporaries O(block) and fixes the block edges for every thread count.
 _SWEEP_BLOCK = 1 << 16
 
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
@@ -35,7 +32,9 @@ def _map_blocks(fn, jobs, threads):
     """[fn(job) for job in jobs], in order, on up to `threads` threads.
 
     Runs inline for one thread or one job.  Each job must depend only on
-    its own argument, so the results do not depend on `threads`.
+    its own argument, so the results do not depend on `threads`.  The
+    split into jobs may itself depend on `threads` only where the results
+    are exact integer sums, which no split can change.
     """
     if threads < 1:
         raise ValueError(f"need at least one thread, got threads={threads}")
@@ -258,8 +257,8 @@ def save_points(ps: PointSet, path) -> None:
     row = ",".join(["%.17g"] * ps.dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n")
-        for start in range(0, ps.size, _CSV_BLOCK):
-            block = coords[start : start + _CSV_BLOCK]
+        for start in range(0, ps.size, _SWEEP_BLOCK):
+            block = coords[start : start + _SWEEP_BLOCK]
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

@@ -128,6 +128,16 @@ def test_height_domain_errors():
         funk_hecke_lambda(1, 2, 0.0)
 
 
+def test_degree_capped_at_max_degree():
+    # The order-4k quadrature rule is an order x order eigen-solve, so the
+    # degree stays within the validated recurrence range.
+    assert math.isfinite(funk_hecke_lambda(3, 200, 0.5))
+    with pytest.raises(ValueError, match="200"):
+        funk_hecke_lambda(3, 201, 0.5)
+    with pytest.raises(ValueError):
+        funk_hecke_lambda(3, -1, 0.5)
+
+
 def test_odd_mean_zero():
     assert abs(odd_mean_zero_check(3, 1)) <= 1e-14
     for n in (2, 3, 4, 5):

@@ -25,6 +25,7 @@ from capdisc import (
     generate_uniform,
     legendre_eval,
     load_points,
+    radical_inverse,
     save_points,
 )
 from capdisc.cli import main
@@ -310,6 +311,57 @@ def test_gen_and_arc_fixed_with_fewer_than_one_thread_exit_two(tmp_path, capsys)
         err = capsys.readouterr().err
         assert code == 2, threads
         assert "Traceback" not in err and "capdisc: error:" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", ["9223372036854775807", "99999999999999999999"])
+def test_gen_seed_past_the_int64_indices_exits_two(tmp_path, capsys, seed):
+    code = main(["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "10",
+                 "--seed", seed, "--out", str(tmp_path / "p.csv"), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "capdisc: error:" in err and "2^63 - 1" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("density", ["planar", "zonal"])
+def test_gen_seed_whose_last_index_is_the_int64_maximum(tmp_path, density):
+    seed = 2**63 - 10
+    out = tmp_path / "edge.csv"
+    args = (["--p", "1", "--q", "3"] if density == "planar" else ["--k", "3", "--c", "0.8"])
+    assert main(["gen", "--density", density, *args, "--N", "10", "--seed", str(seed),
+                 "--out", str(out), "--no-timestamp"]) == 0
+    assert load_points(out).provenance.seed == seed
+    driver = Driver("van_der_corput_base2" if density == "planar" else "halton_2_3", seed)
+    idx = np.array([seed + j for j in range(10)], dtype=np.int64)
+    assert idx[-1] == np.iinfo(np.int64).max
+    values = driver.values(10)
+    assert np.array_equal(values if values.ndim == 1 else values[:, 0], radical_inverse(2, idx))
+
+
+@pytest.mark.parametrize("command", [
+    ["eigenvalue", "--n", "3", "--s", "0.5", "--k", "201"],
+    ["verify-caps", "--n", "3", "--k", "201", "--c", "0.5", "--s", "0.3"],
+    ["gen", "--density", "zonal", "--k", "201", "--c", "0.5", "--N", "10"],
+], ids=["eigenvalue", "verify-caps", "gen"])
+def test_degree_past_max_degree_exits_two(tmp_path, capsys, command):
+    code = main([*command, "--out", str(tmp_path / "z.csv"), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "capdisc: error:" in err and "200" in err
+
+
+def test_degrees_up_to_max_degree_still_work(tmp_path, capsys):
+    for k in (199, 200):
+        code, doc = run_json(["eigenvalue", "--n", "3", "--s", "0.5", "--k", str(k)], capsys)
+        assert code == 0 and doc["result"]["lambda"] == funk_hecke_lambda(3, k, 0.5)
+    code, doc = run_json(["verify-caps", "--n", "3", "--k", "199", "--c", "0.5", "--s", "0.3",
+                          "--M", "50", "--tol", "1"], capsys)
+    assert code == 0 and doc["result"]["passed"]
+    out = tmp_path / "z.csv"
+    assert main(["gen", "--density", "zonal", "--k", "199", "--c", "0.5", "--N", "10",
+                 "--out", str(out), "--no-timestamp"]) == 0
+    assert load_points(out).size == 10
 
 
 def test_verify_caps_axis_whose_norm_overflows(capsys):

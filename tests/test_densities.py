@@ -412,3 +412,24 @@ def test_generate_rejects_fewer_than_one_thread():
         for threads in (0, -2):
             with pytest.raises(ValueError, match="thread"):
                 generate_qud(d, 10, Driver(kind), threads=threads)
+
+
+def test_driver_rejects_indices_past_the_int64_maximum(monkeypatch):
+    top = np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="2\\^63 - 1"):
+        Driver("halton_2_3", offset=top + 1)
+    edge = Driver("van_der_corput_base2", offset=top - 9)
+    assert edge.values(10).shape == (10,)
+    with pytest.raises(ValueError, match="2\\^63 - 1"):
+        edge.values(11)
+    # generate_qud checks the whole index range before it transports a block.
+    monkeypatch.setattr(capdisc.densities, "_SWEEP_BLOCK", 4)
+    monkeypatch.setattr(capdisc.densities, "_invert_monotone_vec", None)
+    with pytest.raises(ValueError, match="2\\^63 - 1"):
+        generate_qud(PlanarRationalDensity(1, 3), 11, edge, threads=2)
+
+
+def test_zonal_degree_is_capped_at_max_degree():
+    assert zonal_density(k=199).degree == 199
+    with pytest.raises(ValueError, match="200"):
+        zonal_density(k=201)

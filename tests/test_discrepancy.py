@@ -27,7 +27,7 @@ from capdisc import (
     generate_uniform,
     telescoping_check,
 )
-from capdisc.discrepancy import _arc_ends, _cap_counts, _tile_rows
+from capdisc.discrepancy import _arc_ends, _cap_counts, _tangent_basis, _tile_rows, direction_grid
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -175,6 +175,32 @@ def test_empirical_cap_fraction_trivial():
     assert empirical_cap_fraction(boundary, Cap(np.array([1.0, 0.0]), 0.0)) == 1.0
     with pytest.raises(ValueError):
         Cap(e, 1.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, S5, -0.3])
+def test_empirical_cap_fraction_counts_points_on_the_boundary(s):
+    # Points with x . center == s exactly (their x and y meet zeros of the
+    # center), one ulp inside and one ulp outside the closed cap.
+    e = np.array([0.0, 0.0, 1.0])
+    phi = np.linspace(0.0, TWO_PI, 7, endpoint=False)
+    coords = []
+    for z, copies in ((s, 7), (np.nextafter(s, 2.0), 3), (np.nextafter(s, -2.0), 5)):
+        r = math.sqrt(1.0 - z * z)
+        coords.append(np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(7, z)])[:copies])
+    ps = PointSet(np.vstack(coords), Provenance("boundary", 0))
+    assert np.array_equal(ps.coords[:7, 2], np.full(7, s))  # kept bit for bit
+    assert empirical_cap_fraction(ps, Cap(e, s)) == 10 / 15
+    assert empirical_cap_fraction(ps, Cap(-e, -s)) == 12 / 15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_empirical_cap_fraction_matches_the_direct_count(n):
+    rng = np.random.default_rng(n)
+    ps = generate_uniform(n, 20_000, "random", seed=n)
+    for _ in range(20):
+        cap = Cap(rng.standard_normal(n), float(rng.uniform(-0.9, 0.9)))
+        direct = int(np.count_nonzero(ps.coords @ cap.center >= cap.height))
+        assert empirical_cap_fraction(ps, cap) == direct / ps.size
 
 
 def test_half_circle_arcs_on_square_lattice():
@@ -502,7 +528,8 @@ def test_cap_search_monotone_in_directions():
 
 
 def test_cap_search_thread_count_independent():
-    # More points than one tile of the scan (512) and of the probes (32768).
+    # More points than one tile of the scan (187 rows for M = 700) and of the
+    # probes (32768 rows).
     ps = generate_uniform(3, 40_000, "fibonacci_s2")
     a = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=1)
     for threads in (2, 4):
@@ -581,13 +608,13 @@ def test_cap_search_rejects_bad_directions():
     assert long.witness == unit.witness
 
 
-@pytest.mark.parametrize("m_dirs", [1, 4, 255, 256, 257])
+@pytest.mark.parametrize("m_dirs", [1, 4, 255, 256, 257, 2000])
 def test_cap_counts_match_one_shot_at_tile_edges(m_dirs):
-    rows = _tile_rows(m_dirs)  # 512 rows for the 256-direction scan, 32768 for 4 probes
+    rows = _tile_rows(m_dirs)  # 65 rows for the 2000-direction scan, 32768 for 4 probes
     rng = np.random.default_rng(m_dirs)
     dirs = generate_uniform(3, m_dirs, "random", seed=m_dirs).coords.copy()
     dirs[0] = [0.0, 0.0, 1.0]
-    for n_pts in (rows - 1, rows, rows + 1):
+    for n_pts in (rows - 1, rows, rows + 1, 2 * rows + 1):
         x = rng.standard_normal((n_pts, 3))
         coords = x / np.linalg.norm(x, axis=1)[:, None]
         for s in (0.0, 0.5, S5, -0.3):
@@ -598,16 +625,115 @@ def test_cap_counts_match_one_shot_at_tile_edges(m_dirs):
             coords[-3:] = edge
             assert np.all(coords[[0, -1]] @ dirs[0] == s)
             want = (coords @ dirs.T >= s).sum(axis=0)
-            got = _cap_counts(coords, dirs, s)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want), (n_pts, s)
+            # Up to four runs of whole tiles: every run edge is a tile edge.
+            for threads in (1, 2, 3, 4):
+                got = _cap_counts(coords, dirs, s, threads)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (n_pts, s, threads)
         # Every point in the cap of the first direction: each full run of
         # the kernel's uint8 partial sums reaches 255 and must not wrap.
         pole = np.tile(dirs[0], (n_pts, 1))
         want = (pole @ dirs.T >= 0.5).sum(axis=0)
-        got = _cap_counts(pole, dirs, 0.5)
-        assert got[0] == n_pts
-        assert np.array_equal(got, want), n_pts
+        for threads in (1, 2, 3, 4):
+            got = _cap_counts(pole, dirs, 0.5, threads)
+            assert got[0] == n_pts
+            assert np.array_equal(got, want), (n_pts, threads)
+    with pytest.raises(ValueError):
+        _cap_counts(coords, dirs, 0.5, threads=0)
+
+
+def _chunked_cap_search(ps, s, M, refine, directions=None):
+    """The cap search as it was before one count kernel served it.
+
+    The grid is scanned 256 directions at a time, each chunk counted over
+    tiles of (1 << 17) // 256 points, and the chunk maxima are reduced with
+    a strict ">"; the hill climb builds its probes one by one.  Returns
+    (value, center, trace).
+    """
+    coords, n = ps.coords, ps.dim
+    target = cap_measure(n, s)
+    dirs = direction_grid(n, M) if directions is None else directions
+
+    def counts(chunk):
+        rows = max(1, (1 << 17) // len(chunk))
+        total = np.zeros(len(chunk), dtype=np.int64)
+        for p0 in range(0, coords.shape[0], rows):
+            total += np.count_nonzero(coords[p0 : p0 + rows] @ chunk.T >= s, axis=0)
+        return total
+
+    best_val, best_idx = -1.0, -1
+    for c0 in range(0, dirs.shape[0], 256):
+        dev = np.abs(counts(dirs[c0 : c0 + 256]) / ps.size - target)
+        i = int(np.argmax(dev))
+        if float(dev[i]) > best_val:
+            best_val, best_idx = float(dev[i]), c0 + i
+    u = dirs[best_idx] / np.linalg.norm(dirs[best_idx])
+    trace = [best_val]
+    step, current = 0.1, best_val
+    for _ in range(refine):
+        if step < 1e-4:
+            break
+        probes = []
+        for tau in _tangent_basis(u):
+            probes.append(np.cos(step) * u + np.sin(step) * tau)
+            probes.append(np.cos(step) * u - np.sin(step) * tau)
+        probes = np.array(probes)
+        probes /= np.linalg.norm(probes, axis=1)[:, None]
+        devs = np.abs(counts(probes) / ps.size - target)
+        i = int(np.argmax(devs))
+        if devs[i] > current:
+            current, u = float(devs[i]), probes[i]
+        else:
+            step *= 0.5
+        trace.append(current)
+    return current, u, trace
+
+
+def _assert_bits_equal(report, old):
+    value, center, trace = old
+    assert np.array_equal(np.array([report.value]).view(np.int64),
+                          np.array([value]).view(np.int64))
+    assert np.array_equal(np.array(report.witness["center"]).view(np.int64),
+                          np.asarray(center, dtype=float).view(np.int64))
+    assert np.array_equal(np.array(report.trace).view(np.int64), np.array(trace).view(np.int64))
+
+
+@pytest.mark.parametrize("s", [S5, 0.0])
+def test_cap_search_bit_identical_to_the_chunked_scan_on_the_zonal_set(s):
+    d = ZonalDensity(dim=3, degree=3, coefficient=0.8, axis=np.array([0.0, 0.0, 1.0]))
+    ps = generate_qud(d, 100_000, Driver("halton_2_3"))
+    old = _chunked_cap_search(ps, s, 2000, 20)
+    for threads in (1, 2, 3):
+        _assert_bits_equal(cap_discrepancy_fixed_height(ps, s, 2000, refine=20, threads=threads), old)
+
+
+@pytest.mark.parametrize("M", [1, 255, 256, 257, 2000])
+@pytest.mark.parametrize("n, n_pts, s", [(4, 5_000, 0.1), (5, 20_000, -0.2)])
+def test_cap_search_bit_identical_to_the_chunked_scan(n, n_pts, s, M):
+    ps = generate_uniform(n, n_pts, "random", seed=n * M)
+    old = _chunked_cap_search(ps, s, M, 8)
+    for threads in (1, 2, 3):
+        _assert_bits_equal(cap_discrepancy_fixed_height(ps, s, M, refine=8, threads=threads), old)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_cap_scan_keeps_the_first_of_tied_maxima(threads):
+    # Half the points at each pole and s = 0.8: the caps around directions 3
+    # (north) and 300 (south) each hold half the points, every other
+    # direction (|z| < 1/2) holds none, so 3 and 300 tie at the largest
+    # deviation, in different 256-direction chunks of the old scan.
+    ps = PointSet(np.repeat([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 5000, axis=0),
+                  Provenance("poles", 0))
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-0.5, 0.5, 400)
+    phi = rng.uniform(0.0, TWO_PI, 400)
+    r = np.sqrt(1.0 - z * z)
+    dirs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    dirs[3], dirs[300] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+    rep = cap_discrepancy_fixed_height(ps, 0.8, M=400, directions=dirs, threads=threads)
+    assert rep.value == 0.5 - cap_measure(3, 0.8)
+    assert rep.witness["center"] == [0.0, 0.0, 1.0]
+    _assert_bits_equal(rep, _chunked_cap_search(ps, 0.8, 400, 0, directions=dirs))
 
 
 def test_cap_search_memory_does_not_grow_with_n():
