@@ -54,6 +54,16 @@ def _default_order(k):
     return max(40, 4 * k)
 
 
+# Twice the largest default order: the rule is an order x order eigen-solve,
+# so its cost grows as order^3.
+_MAX_ORDER = 8 * MAX_DEGREE
+
+
+def _check_order(order):
+    if not 1 <= order <= _MAX_ORDER:
+        raise ValueError(f"quadrature order must lie in [1, {_MAX_ORDER}], got {order}")
+
+
 @lru_cache(maxsize=4096)
 def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> float:
     """Eigenvalue lambda_k(s) of the height-s cap transform in dimension n.
@@ -68,6 +78,7 @@ def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> flo
     Computed by Gauss-Legendre quadrature of order max(40, 4k) after the
     substitution t = cos(theta).  k is capped at MAX_DEGREE: the recurrence
     is unvalidated past it, and the rule's eigen-solve cost grows as order^3.
+    An explicit `order` must lie in [1, 8 * MAX_DEGREE].
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -77,6 +88,7 @@ def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> flo
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if order is None:
         order = _default_order(k)
+    _check_order(order)
     num = _zonal_integral(n, k, 0.0, float(np.arccos(s)), order)
     return num / weight_mass(n)
 
@@ -86,11 +98,17 @@ def odd_mean_zero_check(n: int, k: int, order: int | None = None) -> float:
 
     Returns the normalized integral of P_k(e . v) over the whole sphere,
     computed by quadrature; for odd degrees the symmetry of the weight
-    forces it below 1e-12 in magnitude.
+    forces it below 1e-12 in magnitude.  Needs n >= 2, odd k in
+    [1, MAX_DEGREE] and an `order` in [1, 8 * MAX_DEGREE].
     """
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    if not 1 <= k <= MAX_DEGREE:
+        raise ValueError(f"degree must lie in [1, {MAX_DEGREE}], got {k}")
     if k % 2 == 0:
         raise ValueError("mean-zero identity is claimed only for odd degrees")
     if order is None:
         order = _default_order(k)
+    _check_order(order)
     num = _zonal_integral(n, k, 0.0, np.pi, order)
     return num / weight_mass(n)

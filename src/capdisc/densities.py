@@ -3,11 +3,13 @@ cap/arc probabilities, and constructive generation of sequences uniformly
 distributed for them.
 
 Two families are provided.  The planar density 1 + sin(2*q*theta)/2 has zero
-net mass on every arc of length 2*pi*p/q, so its sequences fool all arcs of
-that one length.  The zonal density 1 + c*P_k(axis . v) has zero net mass on
-every cap whose height annihilates the cap-transform eigenvalue, so its
-sequences fool all caps of that one height.  Sequences are produced by
-inverse-CDF transport of a deterministic low-discrepancy driver.
+net mass on every arc of length 2*pi*j/(2*q), j = 1, ..., 2q - 1, so its
+sequences fool all arcs of those lengths: the target 2*pi*p/q and the other
+multiples of 2*pi/(2*q) (for q = 3, arc fractions 1/6 and 1/3 alike).  The
+zonal density 1 + c*P_k(axis . v) has zero net mass on every cap whose
+height annihilates the cap-transform eigenvalue, so its sequences fool all
+caps of that one height.  Sequences are produced by inverse-CDF transport of
+a deterministic low-discrepancy driver.
 """
 
 from __future__ import annotations
@@ -84,7 +86,12 @@ class Driver:
 
 @dataclass(frozen=True)
 class PlanarRationalDensity:
-    """Circle density 1 + sin(2*q*theta)/2 targeting arcs of length 2*pi*p/q."""
+    """Circle density 1 + sin(2*q*theta)/2 targeting arcs of length 2*pi*p/q.
+
+    sin(2*q*theta) has period 2*pi/(2*q), so the density has zero net mass,
+    and fools arcs, of every length 2*pi*j/(2*q), j = 1, ..., 2q - 1, of
+    which 2*pi*p/q (j = 2p) is one.
+    """
 
     p: int
     q: int
@@ -145,8 +152,9 @@ def planar_arc_probability(d: PlanarRationalDensity, theta0: float, length: floa
     """Probability of the half-open arc [theta0, theta0 + length).
 
     Closed form from the antiderivative of the density; for
-    length = 2*pi*p/q the oscillatory term cancels and the result is p/q
-    for every starting angle.
+    length = 2*pi*j/(2*q), j = 1, ..., 2q - 1, the oscillatory term cancels
+    and the result is j/(2*q) for every starting angle.  The target length
+    2*pi*p/q is the case j = 2p.
     """
     if not 0.0 < length <= TWO_PI:
         raise ValueError(f"arc length must lie in (0, 2*pi], got {length}")
@@ -326,4 +334,4 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
         coords[lo : lo + len(x)] = transport(x)
 
     _map_blocks(block, range(0, N, _SWEEP_BLOCK), threads)
-    return PointSet(coords, Provenance(generator=desc, seed=driver.offset))
+    return PointSet._adopt(coords, Provenance(generator=desc, seed=driver.offset))

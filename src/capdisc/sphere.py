@@ -110,6 +110,11 @@ class Provenance:
     seed: int = 0
 
 
+def _row_norms(x):
+    # The sum np.linalg.norm(x, axis=1) takes, without its two (N, n) temporaries.
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 class PointSet:
     """An ordered finite prefix of a sequence of unit vectors.
 
@@ -117,25 +122,38 @@ class PointSet:
     """
 
     def __init__(self, coords, provenance: Provenance):
-        arr = np.array(coords, dtype=float)
+        self._own(np.array(coords, dtype=float), provenance)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, provenance: Provenance) -> "PointSet":
+        """A point set over `arr`, a float64 array the caller has just built
+        and hands over: it is validated and normalized in place, not copied."""
+        ps = cls.__new__(cls)
+        ps._own(arr, provenance)
+        return ps
+
+    def _own(self, arr, provenance):
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ValueError("coords must be an (N, n) array with n >= 2")
         if arr.shape[0] < 1:
             raise ValueError("a point set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite (nan or inf) coordinate in coords")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(arr, axis=1)
-        big = np.isinf(norms)
-        if np.any(big):
-            # Finite rows whose norm overflows: scale by max |x| first.
-            arr[big] /= np.max(np.abs(arr[big]), axis=1)[:, None]
-            norms[big] = np.linalg.norm(arr[big], axis=1)
-        if np.any(norms < _DEGENERATE_NORM):
-            raise ValueError("degenerate (near-zero) point in coords")
-        fix = np.abs(norms - 1.0) > _UNIT_TOL
-        if np.any(fix):
-            arr[fix] /= norms[fix, None]
+        # Row blocks keep the norm temporaries O(block) beside the array.
+        for lo in range(0, arr.shape[0], _SWEEP_BLOCK):
+            x = arr[lo : lo + _SWEEP_BLOCK]
+            with np.errstate(over="ignore"):
+                norms = _row_norms(x)
+            big = np.isinf(norms)
+            if np.any(big):
+                # Finite rows whose norm overflows: scale by max |x| first.
+                x[big] /= np.max(np.abs(x[big]), axis=1)[:, None]
+                norms[big] = _row_norms(x[big])
+            if np.any(norms < _DEGENERATE_NORM):
+                raise ValueError("degenerate (near-zero) point in coords")
+            fix = np.abs(norms - 1.0) > _UNIT_TOL
+            if np.any(fix):
+                x[fix] /= norms[fix, None]
         arr.setflags(write=False)
         self.coords = arr
         self.provenance = provenance
@@ -267,7 +285,13 @@ def load_points(path) -> PointSet:
 
     Blank and whitespace-only lines are skipped; any other malformed row
     (ragged, empty field, non-numeric token, comment) raises ValueError.
+    Every value equals float(token).  A body in the layout save_points
+    writes is parsed as arrays (_read_layout); any other body, and every
+    body on a platform without a 64-bit long double, goes to np.loadtxt.
     """
+    read = _read_layout(path)
+    if read is not None:
+        return PointSet._adopt(*read)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -284,3 +308,166 @@ def load_points(path) -> PointSet:
     if coords.shape[1] != dim:
         raise ValueError(f"point rows do not match declared dim={dim}")
     return PointSet(coords, Provenance(generator=generator, seed=seed))
+
+
+# Body bytes per read of the array reader.  Each read is cut after its last
+# newline, so the reader's temporaries are O(chunk) beside the result.
+_CSV_CHUNK = 1 << 18
+
+# A token's fraction digits, right-aligned in three 8-digit uint64 words.
+_DIGIT_SLOTS = 24
+
+# Powers of ten below 2^64; 10^0 .. 10^24 in long double, exact in a 64-bit
+# mantissa (5^27 < 2^63); and per fraction length k the byte mask that keeps
+# the k right-aligned digits of three 8-digit words.
+_POW10_U64 = 10 ** np.arange(19, dtype=np.uint64)
+_POW10_LD = np.cumprod(np.full(_DIGIT_SLOTS + 1, 10, dtype=np.longdouble)) / 10
+_FRACTION_MASK = (
+    np.where(np.arange(_DIGIT_SLOTS) >= _DIGIT_SLOTS - np.arange(_DIGIT_SLOTS + 1)[:, None], 255, 0)
+    .astype(np.uint8).view("<u8").astype(np.uint64)
+)
+
+# The numbers the array reader hands to float(); np.loadtxt reads each of
+# them to the same double.
+_NUMBER_RE = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _read_layout(path):
+    """(coords, provenance) read from `path` when every body row is `dim`
+    fields of _NUMBER_RE split by "," and ended by "\n" (the last "\n"
+    optional) under an ASCII header; None for any other file, which
+    np.loadtxt then reads.
+
+    Rows are counted in a first pass, so they go straight into one (N, n)
+    array for PointSet to adopt.  Both passes read into one reused buffer.
+    """
+    if np.finfo(np.longdouble).nmant < 63:
+        return None
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
+            return None
+        m = _HEADER_RE.match(line[:-1].decode("ascii"))
+        if not m:
+            return None
+        dim, generator, seed = int(m.group(1)), m.group(2), int(m.group(3))
+        body = fh.tell()
+        # _DIGIT_SLOTS bytes of "0" (every field then has 24 bytes before its
+        # end), the partial row left by the last read, and one read.
+        buf = bytearray(b"0" * (_DIGIT_SLOTS + 2 * _CSV_CHUNK))
+        with memoryview(buf) as mv:
+            size = newlines = 0
+            last = ord("\n")
+            while got := fh.readinto(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + _CSV_CHUNK]):
+                size += got
+                newlines += buf.count(b"\n", _DIGIT_SLOTS, _DIGIT_SLOTS + got)
+                last = buf[_DIGIT_SLOTS + got - 1]
+            rows = newlines + (last != ord("\n"))
+            # Every field takes at least one digit and one separator.
+            if dim < 2 or rows == 0 or 2 * rows * dim > size + 1:
+                return None
+            coords = np.empty((rows, dim))
+            flat = coords.reshape(-1)
+            fh.seek(body)
+            done, fill = 0, _DIGIT_SLOTS
+            while True:
+                got = fh.readinto(mv[fill : fill + _CSV_CHUNK])
+                end = fill + got
+                if not got and end > _DIGIT_SLOTS:
+                    buf[end] = ord("\n")  # the last row has no newline
+                    end += 1
+                cut = buf.rfind(b"\n", _DIGIT_SLOTS, end) + 1
+                if cut:
+                    vals = _parse_fields(buf, cut, dim)
+                    if vals is None or done + vals.size > flat.size:
+                        return None
+                    flat[done : done + vals.size] = vals
+                    done += vals.size
+                    fill = _DIGIT_SLOTS + end - cut
+                    buf[_DIGIT_SLOTS:fill] = buf[cut:end]
+                elif end - _DIGIT_SLOTS < _CSV_CHUNK:
+                    fill = end
+                else:
+                    return None  # a row longer than one read
+                if not got:
+                    break
+    if done != flat.size:
+        return None
+    return coords, Provenance(generator=generator, seed=seed)
+
+
+def _parse_fields(buf, cut, dim):
+    """The fields of buf[_DIGIT_SLOTS:cut], whole rows ending in "\n", in
+    row-major order; None unless every row is `dim` fields of _NUMBER_RE.
+
+    A field -?D.F with one integer digit D and a fraction F of at most 24
+    digits, whose digits read as an integer M < 10^19, is M / 10^len(F)
+    divided in long double: both operands are exact, so the quotient is
+    rounded once to 64 bits, and rounding it on to float64 gives float(field)
+    unless the quotient lies exactly on a float64 midpoint.  Midpoints and
+    every other field go through float().
+    """
+    padded = np.frombuffer(buf, np.uint8, count=cut)
+    b = padded[_DIGIT_SLOTS:]
+    at = np.flatnonzero(b - 48 > 9)  # every byte but a digit
+    c = b[at]
+    sep = (c == 44) | (c == 10)  # "," and "\n"
+    ends = at[sep]
+    n = ends.size
+    if n % dim:
+        return None
+    seps = c[sep].reshape(-1, dim)
+    if np.any(seps[:, -1] != 10) or np.any(seps[:, :-1] != 44):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # Non-digits per field: just the "." of -?D.F and the sign.
+    marks = np.diff(np.flatnonzero(sep), prepend=-1) - 1
+    neg = b[starts] == 45
+    k = ends - starts - neg - 2  # len(F); at least -2
+    ok = (marks == 1 + neg) & (b[np.minimum(starts + neg + 1, ends)] == 46)
+    ok &= (k >= 1) & (k <= _DIGIT_SLOTS)
+    # Every field is converted; the fields that are not -?D.F give garbage
+    # (k > 24 is clipped, k < 0 wraps round the tables) and go to float().
+    np.minimum(k, _DIGIT_SLOTS, out=k)
+
+    # Each fraction right-aligned in 24 byte slots, read as three 8-digit
+    # words by Lemire's SWAR conversion; XOR, unlike a subtraction, leaves
+    # the masked-off bytes no borrow to pass on.
+    v = np.lib.stride_tricks.sliding_window_view(padded, _DIGIT_SLOTS)[ends]
+    v = v.view("<u8").astype(np.uint64, copy=False)
+    v ^= 0x3030303030303030
+    v &= np.take(_FRACTION_MASK, k, axis=0)
+    tmp = v >> 8
+    v *= 10
+    v += tmp
+    np.right_shift(v, 16, out=tmp)
+    tmp &= 0xFF000000FF
+    tmp *= 1 + (10000 << 32)
+    v &= 0xFF000000FF
+    v *= 100 + (1000000 << 32)
+    v += tmp
+    v >>= 32
+    lead = (padded[ends - k + (_DIGIT_SLOTS - 2)] ^ 48).astype(np.uint64)
+    # M < 10^19: the top word's 5 highest slots are "0", and a nonzero
+    # integer digit leaves room for at most 18 fraction digits.
+    ok &= (v[:, 0] < 1000) & ((lead == 0) | (k <= 18))
+    mant = v[:, 0] * 10**16 + v[:, 1] * 10**8 + v[:, 2]
+    mant += lead * _POW10_U64[np.minimum(k, 18)]
+    q = mant.astype(np.longdouble)
+    q /= _POW10_LD[k]
+    x = q.astype(np.float64)
+    # q is a midpoint of x and a neighbour iff 2q - x (exact) is a float64.
+    xl = x.astype(np.longdouble)
+    m = q * 2
+    m -= xl
+    ok &= (q == xl) | (m.astype(np.float64) != m)
+    np.negative(x, out=x, where=neg)
+
+    for i in np.flatnonzero(~ok).tolist():
+        field = buf[_DIGIT_SLOTS + starts[i] : _DIGIT_SLOTS + ends[i]]
+        if not _NUMBER_RE.fullmatch(field):
+            return None
+        x[i] = float(field)
+    return x

@@ -145,3 +145,31 @@ def test_odd_mean_zero():
             assert abs(odd_mean_zero_check(n, k)) <= 1e-12
     with pytest.raises(ValueError):
         odd_mean_zero_check(3, 2)
+
+
+@pytest.mark.parametrize(
+    "n, k, match",
+    [(1, 3, "dimension"), (0, 3, "dimension"), (3, 201, "degree"), (3, 501, "degree"),
+     (3, -1, "degree"), (3, 0, "degree")],
+)
+def test_odd_mean_zero_rejects_dimension_and_degree(n, k, match):
+    # Checked before any Gauss rule is built: k = 501 would need an
+    # order-2004 eigen-solve.
+    with pytest.raises(ValueError, match=match):
+        odd_mean_zero_check(n, k)
+
+
+@pytest.mark.parametrize("order", [0, -40, 1601, 2000])
+def test_quadrature_order_outside_one_to_1600_is_rejected(order):
+    with pytest.raises(ValueError, match="order must lie in \\[1, 1600\\]"):
+        funk_hecke_lambda(3, 3, 0.5, order=order)
+    with pytest.raises(ValueError, match="order must lie in \\[1, 1600\\]"):
+        odd_mean_zero_check(3, 3, order=order)
+
+
+def test_quadrature_order_bounds_are_inclusive():
+    # 1600 is twice the largest default order, 4 * MAX_DEGREE.
+    assert math.isfinite(funk_hecke_lambda(3, 3, 0.5, order=1))
+    assert math.isfinite(odd_mean_zero_check(3, 3, order=1))
+    assert funk_hecke_lambda(3, 3, 0.5, order=1600) == pytest.approx(lambda3_dim3(0.5), abs=1e-12)
+    assert abs(odd_mean_zero_check(3, 199, order=1600)) <= 1e-12

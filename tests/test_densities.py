@@ -86,6 +86,22 @@ def test_planar_arc_probability_exact_on_target_arcs():
             assert abs(planar_arc_probability(d, float(theta0), length) - p / q) <= 1e-13
 
 
+def test_planar_arc_probability_exact_on_every_multiple_of_half_period():
+    # sin(2 q theta) has period 2 pi/(2q): arcs of length 2 pi j/(2q) carry
+    # probability j/(2q) for every start, j = 1 .. 2q - 1, not only 2 pi p/q.
+    rng = np.random.default_rng(6)
+    for p, q in ((1, 3), (2, 5), (3, 7), (1, 4)):
+        d = PlanarRationalDensity(p, q)
+        for j in range(1, 2 * q):
+            for theta0 in [0.0, math.pi / 7.0, *rng.uniform(0.0, TWO_PI, 20)]:
+                got = planar_arc_probability(d, float(theta0), TWO_PI * j / (2 * q))
+                assert abs(got - j / (2 * q)) <= 1e-14, (p, q, j, theta0)
+    # for q = 3 the arc fractions 1/6 and 1/3 are both fooled; 0.3 is not
+    d = PlanarRationalDensity(1, 3)
+    assert abs(planar_arc_probability(d, 0.4, TWO_PI / 6.0) - 1.0 / 6.0) <= 1e-14
+    assert abs(planar_arc_probability(d, 0.4, TWO_PI * 0.3) - 0.3) > 1e-3
+
+
 def test_planar_arc_probability_values():
     d = PlanarRationalDensity(1, 3)
     # symbolic: 1/12 + (1 - cos(pi))/(24 pi)

@@ -1,12 +1,17 @@
 """Tests for sphere primitives, cap measure and uniform generators."""
 
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import capdisc.sphere as sphere
 from capdisc import (
     Cap,
     PointSet,
@@ -359,3 +364,244 @@ def test_csv_malformed_body(tmp_path, capsys, body, reason):
     err = capsys.readouterr().err
     assert err.startswith("capdisc: error:") and reason in err
     assert "Traceback" not in err
+
+
+# The array reader needs a long double with a 64-bit mantissa (as on x86-64);
+# elsewhere every file takes np.loadtxt.
+ARRAY_READER = np.finfo(np.longdouble).nmant >= 63
+needs_array_reader = pytest.mark.skipif(
+    not ARRAY_READER, reason="no 64-bit long double: every file takes np.loadtxt"
+)
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt was called")
+
+
+def force_reader(monkeypatch, reader):
+    """Make load_points take one path: "array" fails if np.loadtxt runs,
+    "loadtxt" turns the array reader off."""
+    if reader == "array":
+        if not ARRAY_READER:
+            pytest.skip("no 64-bit long double: every file takes np.loadtxt")
+        monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    else:
+        monkeypatch.setattr(sphere, "_read_layout", lambda path: None)
+
+
+def write_body(path, body, dim=2):
+    path.write_bytes(f"# dim={dim} generator=g seed=1\n".encode() + body)
+    return path
+
+
+def read_array(path):
+    """The raw (N, n) values of the array reader, before PointSet; fails
+    when the file would go to np.loadtxt."""
+    read = sphere._read_layout(path)
+    assert read is not None, "the array reader handed the file to np.loadtxt"
+    return read[0]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("reader", ["array", "loadtxt"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_csv_round_trip,
+        test_csv_seventeen_significant_digits,
+        lambda tmp_path: test_csv_matches_reference_writer_and_reloads_bit_identical(
+            tmp_path, edge_value_pointset()),
+        lambda tmp_path: test_csv_matches_reference_writer_and_reloads_bit_identical(
+            tmp_path, generate_uniform(2, 65_537, "random", seed=11)),
+    ],
+    ids=["round-trip", "seventeen-digits", "edge-values", "partial-last-block"],
+)
+def test_csv_checks_through_each_reader(tmp_path, monkeypatch, reader, check):
+    # "array" runs with np.loadtxt patched to raise, so save_points files
+    # cannot drift off the array path without a failure here.
+    force_reader(monkeypatch, reader)
+    check(tmp_path)
+
+
+_EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.0 - 2.0**-53, 1.0, -1.0, 1.0 + 2.0**-52, 0.5, 2.0**-1022, 2.0**-60, 2.0**52, 2.0**63,
+    2.0**64, 2.0**1023, 1.7976931348623157e308, 1e-4, math.nextafter(1e-4, 0.0),
+    math.nextafter(1e-4, 1.0), 9.9999999999999991e-5, 0.1, 0.7637982415147163,
+]
+
+
+@needs_array_reader
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+@example(_EDGE_DOUBLES)
+@example([2.0**e for e in range(-1074, 1024, 7)])
+@example([math.nextafter(1e-4, 0.0), 1e-4, -math.nextafter(1e-4, 1.0), 1.0000000000000002e-4])
+def test_array_reader_returns_float_of_every_17g_token(tmp_path, xs):
+    # Subnormals, +-0, 1 - 2^-53, powers of two and both sides of 1e-4,
+    # where %.17g switches to e-notation.
+    if len(xs) % 2:
+        xs = xs + [1.0]
+    tokens = [format(x, ".17g") for x in xs]
+    body = "".join(f"{a},{b}\n" for a, b in zip(tokens[::2], tokens[1::2])).encode()
+    got = read_array(write_body(tmp_path / "x.csv", body))
+    want = np.array([float(t) for t in tokens]).reshape(-1, 2)
+    assert same_bits(got, want)
+
+
+def near_midpoint(x):
+    """Decimals of 19 significant digits on each side of the midpoint of x
+    and its upper neighbour, with whether a 64-bit rounding of each lands
+    exactly on that midpoint."""
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    k = 18 if x >= 1.0 else 19
+    half_ulp64 = Fraction(2) ** (math.floor(math.log2(mid)) - 64)
+    out = []
+    for m in (math.floor(mid * 10**k), math.ceil(mid * 10**k)):
+        digits = str(m).rjust(k + 1, "0")
+        token = digits[:-k] + "." + digits[-k:]
+        out.append((token, abs(Fraction(token) - mid) < half_ulp64))
+    return out
+
+
+@needs_array_reader
+def test_array_reader_re_parses_a_quotient_on_a_midpoint(tmp_path):
+    token = "0.7637982415147163695"
+    mant = np.uint64(7637982415147163695).astype(np.longdouble)
+    naive = float((mant / np.uint64(10**19).astype(np.longdouble)).astype(np.float64))
+    assert naive.hex() == "0x1.871090281895ap-1"  # rounded twice
+    assert float(token).hex() == "0x1.8710902818959p-1"
+    for sign in ("", "-"):
+        got = read_array(write_body(tmp_path / "m.csv", f"{sign}{token},1\n".encode()))
+        assert got[0, 0] == float(sign + token) and got[0, 1] == 1.0
+
+
+@needs_array_reader
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.floats(min_value=0.1, max_value=9.875), st.booleans())
+def test_array_reader_matches_float_next_to_midpoints(tmp_path, x, negative):
+    # 19- and 20-digit decimals whose long-double quotient is exactly a
+    # float64 midpoint, so only the float() fallback rounds them right.
+    cases = near_midpoint(x)
+    assume(any(on for _, on in cases))
+    tokens = [("-" if negative else "") + token for token, _ in cases]
+    got = read_array(write_body(tmp_path / "m.csv", ",".join(tokens).encode() + b"\n"))
+    assert same_bits(got, np.array([[float(t) for t in tokens]]))
+
+
+@needs_array_reader
+def test_array_reader_at_the_limits_of_the_digit_words(tmp_path):
+    # M < 10^19 fits a uint64; 19 digits after a nonzero integer digit, 20
+    # significant digits, or more than 24 fraction digits go to float().
+    tokens = [
+        "9.999999999999999999", "9.9999999999999999999", "1.8446744073709551615",
+        "0.9999999999999999999", "0.99999999999999999999", "0.18446744073709551616",
+        "0.123456789012345678901234", "0.1234567890123456789012345",
+        "0.000000000000000000000001", "0.0000000000000000000000001", "-0.000000000000000000000000",
+        "0.1", "-5.5", "1.", "0", "-0", "12.5", "007.25", "1e5", "-1.5E-3", "2.5e+2",
+    ]
+    got = read_array(write_body(tmp_path / "t.csv", ",".join(tokens).encode() + b"\n",
+                                dim=len(tokens)))
+    assert same_bits(got, np.array([[float(t) for t in tokens]]))
+
+
+@needs_array_reader
+@pytest.mark.parametrize("chunk", [41, 64, 100, 257, 1000])
+@pytest.mark.parametrize("newline_at_end", [True, False])
+def test_array_reader_rows_straddle_chunk_edges(tmp_path, monkeypatch, chunk, newline_at_end):
+    ps = edge_value_pointset()
+    path = tmp_path / "pts.csv"
+    save_points(ps, path)
+    if not newline_at_end:
+        path.write_bytes(path.read_bytes()[:-1])
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", chunk)
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    assert same_bits(load_points(path).coords, ps.coords)
+
+
+@needs_array_reader
+def test_row_longer_than_a_chunk_goes_to_loadtxt(tmp_path, monkeypatch):
+    path = write_body(tmp_path / "long.csv", b"0.5,0.25\n" + b"0.6," * 9 + b"0.8\n", dim=2)
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", 16)
+    assert sphere._read_layout(path) is None
+    with pytest.raises(ValueError, match="number of columns"):
+        load_points(path)
+
+
+_BODY_PIECES = ["0", "7", "1", ".", "-", "e", "E", "+", ",", "\n", " ", "\r", "#", "x",
+                "0.5", "-0.25", "1e-5", "0.1234567890123456789012345", "9.99999999999999999",
+                "\n\n", ",,", "\xe9", "inf", "nan", "1_0", "1e999"]
+
+
+# Bodies of random pieces, and bodies of valid numbers in rows of 1 to 4
+# fields (ragged, or the wrong width, for most draws).
+_BODIES = st.one_of(
+    st.lists(st.sampled_from(_BODY_PIECES), max_size=30).map("".join),
+    st.lists(st.lists(st.sampled_from(["0.5", "-0.25", "1", "2e-3", "0.1234567"]),
+                      min_size=1, max_size=4).map(",".join), min_size=1, max_size=6)
+    .map("\n".join),
+)
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_BODIES, st.sampled_from([2, 3]))
+def test_array_reader_accepts_and_rejects_what_loadtxt_does(tmp_path, body, dim):
+    # Whatever the body, load_points gives the bits or the error that
+    # np.loadtxt alone gives.
+    path = write_body(tmp_path / "f.csv", body.encode(), dim=dim)
+
+    def outcome():
+        try:
+            return load_points(path).coords
+        except ValueError as exc:
+            return str(exc)
+
+    got = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere, "_read_layout", lambda path: None)
+        want = outcome()
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str) and same_bits(got, want)
+
+
+@needs_array_reader
+def test_load_points_memory_is_the_result_plus_a_chunk(tmp_path):
+    # N = 2^20 rows of n = 2: the result is 16 MiB; the reader adds O(chunk).
+    N, n = 1 << 20, 2
+    block = tmp_path / "block.csv"
+    save_points(generate_uniform(n, 1 << 16, "random", seed=4), block)
+    header, body = block.read_bytes().split(b"\n", 1)
+    path = tmp_path / "big.csv"
+    path.write_bytes(header + b"\n" + body * (N >> 16))
+    tracemalloc.start()
+    try:
+        ps = load_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.coords.shape == (N, n)
+    assert peak < 2.5 * N * n * 8, peak / 2**20
+
+
+def test_pointset_copies_caller_arrays_and_adopts_its_own():
+    rows = np.array([[3.0, 4.0], [0.0, 1.0]])
+    ps = PointSet(rows, Provenance("copy", 0))
+    assert not np.shares_memory(ps.coords, rows) and rows.flags.writeable
+    assert rows.tolist() == [[3.0, 4.0], [0.0, 1.0]]
+    mine = rows.copy()
+    adopted = PointSet._adopt(mine, Provenance("adopt", 0))
+    assert adopted.coords is mine and not mine.flags.writeable
+    assert same_bits(adopted.coords, ps.coords)
+
+
+def test_pointset_row_norms_match_linalg_norm_across_blocks():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5, 12):
+        rows = rng.standard_normal(((1 << 16) + 5, n)) * rng.uniform(0.5, 2.0, ((1 << 16) + 5, 1))
+        want = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert same_bits(PointSet(rows, Provenance("norms", 0)).coords, want)
