@@ -142,7 +142,7 @@ def _cmd_eigenvalue(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    ps = load_points(args.infile)
+    ps = load_points(args.infile, threads=args.threads)
     if args.family in ("arc-fixed", "telescope") and args.a is None:
         raise ValueError(f"family {args.family} needs --a")
     if args.family == "arc-fixed":
@@ -203,10 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="primary output file")
     common.add_argument("--json", default=None, help="write the JSON report here instead of stdout")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the cap scan, the arc sweep and gen (default: the "
-                             "CPUs this process may run on); the cap scan splits the points into "
-                             "runs whose exact counts are summed, the others split fixed blocks, "
-                             "so results do not depend on the thread count")
+                        help="worker threads for the cap scan, the arc sweep, gen and reading "
+                             "point files (default: the CPUs this process may run on); the cap "
+                             "scan splits the points into runs whose exact counts are summed, the "
+                             "others split fixed blocks, so results do not depend on the thread "
+                             "count")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
 

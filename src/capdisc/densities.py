@@ -36,8 +36,6 @@ from .sphere import (
 
 DRIVER_KINDS = ("van_der_corput_base2", "halton_2_3", "kronecker_golden")
 
-_POSITIVITY_GRID = 100_000
-
 # Inverse-CDF transport: bisection halvings, then Newton steps.
 _BISECT_STEPS = 52
 _NEWTON_STEPS = 3
@@ -194,18 +192,16 @@ def zonal_cap_probability(d: ZonalDensity, caps, s: float | None = None):
 
 
 def positivity_margin(d) -> float:
-    """Minimum of the density over a deterministic dense grid.
+    """Minimum of the density, in closed form.
 
-    For a zonal density the grid covers t = axis . v in [-1, 1] endpoint
-    included, so the analytic floor 1 - c is attained; for the planar
-    density the infimum 1/2 is approached to grid resolution.
+    A zonal density 1 + c * P_k(t) has its minimum 1 - c at t = -1: |P_k|
+    <= 1 on [-1, 1] and P_k(-1) = -1 for odd k.  The planar density
+    1 + sin(2*q*theta)/2 has its minimum 1/2 where the sine is -1.
     """
     if isinstance(d, ZonalDensity):
-        t = np.linspace(-1.0, 1.0, _POSITIVITY_GRID)
-        return float(np.min(d.density_at_t(t)))
+        return 1.0 - d.coefficient
     if isinstance(d, PlanarRationalDensity):
-        theta = np.linspace(0.0, TWO_PI, _POSITIVITY_GRID, endpoint=False)
-        return float(np.min(d.density(theta)))
+        return 0.5
     raise TypeError(f"unsupported density type {type(d).__name__}")
 
 

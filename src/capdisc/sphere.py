@@ -19,7 +19,7 @@ _UNIT_TOL = 1e-12
 
 TWO_PI = 2.0 * np.pi
 
-# Points per block in generation, the arc sweep and save_points; keeps
+# Points per block in generation, the arc sweep and PointSet's checks; keeps
 # their temporaries O(block) and fixes the block edges for every thread count.
 _SWEEP_BLOCK = 1 << 16
 
@@ -166,12 +166,6 @@ class PointSet:
     def size(self) -> int:
         return self.coords.shape[0]
 
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return iter(self.coords)
-
     def angles(self) -> np.ndarray:
         """Canonical angles in [0, 2*pi) for a planar point set."""
         if self.dim != 2:
@@ -266,30 +260,152 @@ _HEADER_RE = re.compile(r"^# dim=(\d+) generator=(.+) seed=(-?\d+)$")
 
 
 def save_points(ps: PointSet, path) -> None:
-    """Write a point set as CSV with a provenance header, 17 significant digits.
+    """Write a point set as CSV: a provenance header, then one row per point
+    of its coordinates as format(x, ".17g"), split by "," and ended by "\n".
 
-    '%.17g' % x gives the same bytes as format(x, ".17g"), so rows are
-    formatted a block at a time by one string operation.
+    Rows are formatted _WRITE_ROWS at a time by _format_fields, so the
+    writer's temporaries are O(block) beside the point set.
     """
     coords = ps.coords
-    row = ",".join(["%.17g"] * ps.dim) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n")
-        for start in range(0, ps.size, _SWEEP_BLOCK):
-            block = coords[start : start + _SWEEP_BLOCK]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    seps = np.tile(np.array([44] * (ps.dim - 1) + [10], np.uint8), _WRITE_ROWS)
+    with open(path, "wb") as fh:
+        header = f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n"
+        fh.write(header.encode("utf-8"))
+        for start in range(0, ps.size, _WRITE_ROWS):
+            x = coords[start : start + _WRITE_ROWS].reshape(-1)
+            fh.write(_format_fields(x, seps[: x.size]))
 
 
-def load_points(path) -> PointSet:
+# Rows per _format_fields call in save_points.  Its temporaries peak at
+# about 230 bytes per value, under 3 MiB for n <= 3; more rows save little
+# time and raise the peak memory of a `gen`.
+_WRITE_ROWS = 1 << 12
+
+# A field's slot in the writer: four 8-byte words.  A fixed-notation token
+# is its prefix right-aligned in bytes 0..6 ("-0.000" at most), its first
+# digit in byte 7 and 16 more digits in bytes 8..23; any other token is at
+# most 24 bytes ("-2.2250738585072014e-308") from byte 0.  The separator
+# goes right after the token.
+_FIELD_WORDS = 4
+
+# format(x, ".17g") writes |x| in [1e-4, 1) in fixed notation: "0.", z zeros
+# (z = 0..3) and D = round(|x| * 10^(17 + z)) as 17 digits without their
+# trailing zeros.  Each _DECADES entry is the smallest double >= 10^-(z+1),
+# so |x| < _DECADES[z] exactly when |x| < 10^-(z+1).  The largest double
+# below 10^-z still gives D < 10^17, so no D carries into the next decade.
+# 10^17 .. 10^20 are exact doubles, split in halves of 26 bits for Dekker's
+# TwoProduct.
+_DECADES = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
+_SPLITTER = 134217729.0  # 2^27 + 1
+_SCALES_HI = _SCALES * _SPLITTER - (_SCALES * _SPLITTER - _SCALES)
+_SCALES_LO = _SCALES - _SCALES_HI
+
+# Per sign and z (code 4 * sign + z): the prefix as word 0 of a slot, and
+# the byte where the token starts.
+_PREFIXES = [("-" if neg else "") + "0." + "0" * z for neg in (0, 1) for z in range(4)]
+_PREFIX_WORDS = np.frombuffer("".join(p.rjust(8, "\0")[1:] + "\0" for p in _PREFIXES).encode(),
+                              "<u8")
+_PREFIX_START = np.array([7 - len(p) for p in _PREFIXES])
+
+# The bytes a field keeps, per (first byte, separator byte): row
+# 32 * start + stop marks the run start .. stop of a slot.
+_SLOT_BYTES = 8 * _FIELD_WORDS
+_KEEP_RUNS = (
+    (np.arange(_SLOT_BYTES) >= np.arange(8)[:, None, None])
+    & (np.arange(_SLOT_BYTES) <= np.arange(_SLOT_BYTES)[:, None])
+).reshape(-1, _SLOT_BYTES)
+
+
+def _format_fields(x, seps):
+    """The bytes of format(v, ".17g") + sep for each v in the float64 array
+    x and sep in the uint8 array seps, concatenated.
+
+    Fixed-notation values (1e-4 <= |v| < 1) are formatted as arrays: |v| *
+    10^(17 + z) is formed exactly as hi + lo by Dekker's TwoProduct; hi >=
+    10^16 > 2^53 is an even integer, so D = hi + rint(lo) is the product
+    rounded to an integer, ties to even as format rounds them.  D's digits
+    come from SWAR conversions of two 8-digit words; each field's token and
+    separator are one run of bytes in its slot, and one boolean mask picks
+    the runs out.  Every other value (0, -0, |v| >= 1 and the e-notation
+    values below 1e-4) goes through format() itself.
+    """
+    m = x.size
+    a = np.abs(x)
+    fixed = (a >= _DECADES[-1]) & (a < 1.0)
+    a = np.where(fixed, a, 0.5)
+    z = (a < _DECADES[0]).astype(np.intp)
+    z += a < _DECADES[1]
+    z += a < _DECADES[2]
+    hi = a * _SCALES[z]
+    t = a * _SPLITTER
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _SCALES_HI[z], _SCALES_LO[z]
+    lo = a_hi * s_hi - hi
+    lo += a_hi * s_lo
+    lo += a_lo * s_hi
+    lo += a_lo * s_lo
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+
+    # The first digit, then two 8-digit words, each split 4|4, 2|2 and 1|1
+    # in parallel lanes, with the most significant digit in the lowest byte.
+    lead = d // 10**16
+    d -= lead * 10**16
+    w = np.empty((m, 2), np.uint64)
+    w[:, 0] = d // 10**8
+    w[:, 1] = d - w[:, 0].astype(np.int64) * 10**8
+    t = w // 10000
+    w -= t * 10000
+    w <<= 32
+    w |= t
+    t = (w * 5243) >> 19  # lane // 100, for lanes below 43699
+    t &= 0x0000007F0000007F
+    w -= t * 100
+    w <<= 16
+    w |= t
+    t = (w * 103) >> 10  # lane // 10, for lanes below 179
+    t &= 0x000F000F000F000F
+    w -= t * 10
+    w <<= 8
+    w |= t
+    # A word's highest nonzero byte is its last nonzero digit: its top bit
+    # is below bit 8j + 4, so frexp of the rounded float still points at j.
+    last = (np.frexp(w.astype(np.float64))[1] - 1) >> 3
+    stop = np.where(last[:, 1] >= 0, 17 + last[:, 1], 9 + last[:, 0])
+    w |= 0x3030303030303030
+
+    code = 4 * np.signbit(x) + z
+    slots = np.empty((m, _FIELD_WORDS), "<u8")
+    slots[:, 0] = _PREFIX_WORDS[code]
+    slots[:, 0] |= (lead.astype(np.uint64) + 48) << 56
+    slots[:, 1:3] = w
+    start = _PREFIX_START[code]
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        tokens = [format(v, ".17g") for v in x[other].tolist()]
+        text = "".join(tok.ljust(_SLOT_BYTES, "\0") for tok in tokens).encode("ascii")
+        slots[other] = np.frombuffer(text, "<u8").reshape(-1, _FIELD_WORDS)
+        start[other] = 0
+        stop[other] = [len(tok) for tok in tokens]
+    data = slots.view(np.uint8).reshape(-1)
+    data[np.arange(0, data.size, _SLOT_BYTES) + stop] = seps
+    return data[_KEEP_RUNS[_SLOT_BYTES * start + stop].reshape(-1)]
+
+
+def load_points(path, threads: int = 1) -> PointSet:
     """Read a point set written by save_points.
 
     Blank and whitespace-only lines are skipped; any other malformed row
     (ragged, empty field, non-numeric token, comment) raises ValueError.
     Every value equals float(token).  A body in the layout save_points
-    writes is parsed as arrays (_read_layout); any other body, and every
-    body on a platform without a 64-bit long double, goes to np.loadtxt.
+    writes is parsed as arrays (_read_layout), its chunks on up to
+    `threads` (>= 1) threads; any other body, and every body on a platform
+    without a 64-bit long double, goes to np.loadtxt.  The chunks do not
+    depend on `threads`, so neither does the result.
     """
-    read = _read_layout(path)
+    read = _read_layout(path, threads)
     if read is not None:
         return PointSet._adopt(*read)
     with open(path, "r", encoding="utf-8") as fh:
@@ -310,8 +426,9 @@ def load_points(path) -> PointSet:
     return PointSet(coords, Provenance(generator=generator, seed=seed))
 
 
-# Body bytes per read of the array reader.  Each read is cut after its last
-# newline, so the reader's temporaries are O(chunk) beside the result.
+# Body bytes per read of the array reader.  The body is cut after the last
+# newline of each read, so each thread's temporaries are O(chunk) beside
+# the result.
 _CSV_CHUNK = 1 << 18
 
 # A token's fraction digits, right-aligned in three 8-digit uint64 words.
@@ -332,17 +449,21 @@ _FRACTION_MASK = (
 _NUMBER_RE = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
-def _read_layout(path):
+def _read_layout(path, threads=1):
     """(coords, provenance) read from `path` when every body row is `dim`
     fields of _NUMBER_RE split by "," and ended by "\n" (the last "\n"
     optional) under an ASCII header; None for any other file, which
     np.loadtxt then reads.
 
-    Rows are counted in a first pass, so they go straight into one (N, n)
-    array for PointSet to adopt.  Both passes read into one reused buffer.
+    A first pass reads the body in _CSV_CHUNK reads and cuts it after the
+    last newline of each, counting the rows of every piece.  The pieces are
+    then parsed through _map_blocks, each into its own rows of one (N, n)
+    array for PointSet to adopt; one piece that is not in the layout sends
+    the whole file to np.loadtxt.
     """
     if np.finfo(np.longdouble).nmant < 63:
         return None
+    chunk = _CSV_CHUNK
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
@@ -351,47 +472,53 @@ def _read_layout(path):
         if not m:
             return None
         dim, generator, seed = int(m.group(1)), m.group(2), int(m.group(3))
-        body = fh.tell()
-        # _DIGIT_SLOTS bytes of "0" (every field then has 24 bytes before its
-        # end), the partial row left by the last read, and one read.
-        buf = bytearray(b"0" * (_DIGIT_SLOTS + 2 * _CSV_CHUNK))
+        pieces = []  # (first byte, end byte, first row, rows)
+        start = end = fh.tell()
+        rows = 0
+        buf = bytearray(chunk)
         with memoryview(buf) as mv:
-            size = newlines = 0
-            last = ord("\n")
-            while got := fh.readinto(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + _CSV_CHUNK]):
-                size += got
-                newlines += buf.count(b"\n", _DIGIT_SLOTS, _DIGIT_SLOTS + got)
-                last = buf[_DIGIT_SLOTS + got - 1]
-            rows = newlines + (last != ord("\n"))
-            # Every field takes at least one digit and one separator.
-            if dim < 2 or rows == 0 or 2 * rows * dim > size + 1:
-                return None
-            coords = np.empty((rows, dim))
-            flat = coords.reshape(-1)
-            fh.seek(body)
-            done, fill = 0, _DIGIT_SLOTS
-            while True:
-                got = fh.readinto(mv[fill : fill + _CSV_CHUNK])
-                end = fill + got
-                if not got and end > _DIGIT_SLOTS:
-                    buf[end] = ord("\n")  # the last row has no newline
-                    end += 1
-                cut = buf.rfind(b"\n", _DIGIT_SLOTS, end) + 1
-                if cut:
-                    vals = _parse_fields(buf, cut, dim)
-                    if vals is None or done + vals.size > flat.size:
-                        return None
-                    flat[done : done + vals.size] = vals
-                    done += vals.size
-                    fill = _DIGIT_SLOTS + end - cut
-                    buf[_DIGIT_SLOTS:fill] = buf[cut:end]
-                elif end - _DIGIT_SLOTS < _CSV_CHUNK:
-                    fill = end
-                else:
+            while got := fh.readinto(mv):
+                last = buf.rfind(b"\n", 0, got)
+                if last >= 0:
+                    n = buf.count(b"\n", 0, last + 1)
+                    pieces.append((start, end + last + 1, rows, n))
+                    start, rows = end + last + 1, rows + n
+                elif got == chunk:
                     return None  # a row longer than one read
-                if not got:
-                    break
-    if done != flat.size:
+                end += got
+    if start < end:  # the last row has no newline
+        pieces.append((start, end, rows, 1))
+        rows += 1
+    # Every field takes at least one digit and one separator.
+    if dim < 2 or rows == 0 or 2 * rows * dim > end - pieces[0][0] + 1:
+        return None
+    coords = np.empty((rows, dim))
+    failed = []  # one failed piece sends the file to np.loadtxt: stop early
+
+    def parse(piece):
+        start, end, row, n = piece
+        if failed:
+            return False
+        # _DIGIT_SLOTS bytes of "0" (every field then has 24 bytes before
+        # its end), the piece, and a newline if the piece has none.
+        size = end - start
+        buf = bytearray(_DIGIT_SLOTS + size + 1)
+        buf[:_DIGIT_SLOTS] = b"0" * _DIGIT_SLOTS
+        with open(path, "rb") as fh, memoryview(buf) as mv:
+            fh.seek(start)
+            got = fh.readinto(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + size])
+        cut = _DIGIT_SLOTS + size
+        if buf[cut - 1] != ord("\n"):
+            buf[cut] = ord("\n")
+            cut += 1
+        vals = _parse_fields(buf, cut, dim) if got == size else None
+        if vals is None or vals.size != n * dim:
+            failed.append(piece)
+            return False
+        coords[row : row + n] = vals.reshape(n, dim)
+        return True
+
+    if not all(_map_blocks(parse, pieces, threads)):
         return None
     return coords, Provenance(generator=generator, seed=seed)
 

@@ -1,9 +1,13 @@
 """Tests for sphere primitives, cap measure and uniform generators."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +231,7 @@ def test_pointset_validation():
             PointSet([[bad, 1.0], [1.0, 0.0]], Provenance("non-finite", 0))
     ps = PointSet([[3.0, 4.0]], Provenance("scaled", 0))
     assert np.allclose(ps.coords, [[0.6, 0.8]])
-    assert len(ps) == 1
+    assert ps.size == 1
     with pytest.raises(ValueError):
         ps.coords[0, 0] = 2.0  # read-only storage
 
@@ -249,13 +253,13 @@ def test_pointset_rescales_rows_whose_norm_overflows(tmp_path):
     assert np.array_equal(loaded.coords.view(np.int64), want.coords[:1].view(np.int64))
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip(tmp_path, threads=1):
     ps = generate_uniform(3, 37, "fibonacci_s2", seed=9)
     path = tmp_path / "pts.csv"
     save_points(ps, path)
     header = path.read_text().splitlines()[0]
     assert header == "# dim=3 generator=uniform-fibonacci_s2(n=3,N=37) seed=9"
-    again = load_points(path)
+    again = load_points(path, threads=threads)
     assert np.array_equal(again.coords, ps.coords)
     assert again.provenance == ps.provenance
     # lossless serialization and stable re-save
@@ -264,10 +268,11 @@ def test_csv_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_csv_seventeen_significant_digits(tmp_path):
+def test_csv_seventeen_significant_digits(tmp_path, threads=1):
     ps = generate_uniform(3, 5, "random", seed=8)
     path = tmp_path / "p.csv"
     save_points(ps, path)
+    assert same_bits(load_points(path, threads=threads).coords, ps.coords)
     for line, row in zip(path.read_text().splitlines()[1:], ps.coords):
         for tok, val in zip(line.split(","), row):
             assert float(tok) == val
@@ -304,14 +309,15 @@ def edge_value_pointset():
 
 @pytest.mark.parametrize(
     "ps",
-    [edge_value_pointset(), generate_uniform(2, 65_537, "random", seed=11)],
-    ids=["edge-values", "partial-last-block"],
+    [edge_value_pointset()]
+    + [generate_uniform(n, 65_537, "random", seed=11 if n == 2 else 20 + n) for n in (2, 3, 5)],
+    ids=["edge-values", "partial-last-block", "partial-last-block-n3", "partial-last-block-n5"],
 )
-def test_csv_matches_reference_writer_and_reloads_bit_identical(tmp_path, ps):
+def test_csv_matches_reference_writer_and_reloads_bit_identical(tmp_path, ps, threads=1):
     path = tmp_path / "pts.csv"
     save_points(ps, path)
     assert path.read_bytes() == reference_csv(ps)
-    again = load_points(path)
+    again = load_points(path, threads=threads)
     assert again.coords.shape == ps.coords.shape
     assert np.array_equal(again.coords.view(np.int64), ps.coords.view(np.int64))
     assert again.provenance == ps.provenance
@@ -336,7 +342,7 @@ def test_csv_skips_blank_whitespace_and_crlf_lines(tmp_path):
     assert ps.provenance == Provenance("loose", 3)
 
 
-@pytest.mark.parametrize(
+_MALFORMED_BODIES = pytest.mark.parametrize(
     "body, reason",
     [
         ("1,0\n0,1,0\n", "number of columns"),
@@ -355,6 +361,9 @@ def test_csv_skips_blank_whitespace_and_crlf_lines(tmp_path):
     ids=["ragged-long", "ragged-short", "too-few-columns", "empty-last", "empty-first",
          "token", "comment-first", "comment-later", "nan", "inf", "no-rows", "blank-rows"],
 )
+
+
+@_MALFORMED_BODIES
 def test_csv_malformed_body(tmp_path, capsys, body, reason):
     path = tmp_path / "bad.csv"
     path.write_text("# dim=2 generator=bad seed=0\n" + body)
@@ -364,6 +373,23 @@ def test_csv_malformed_body(tmp_path, capsys, body, reason):
     err = capsys.readouterr().err
     assert err.startswith("capdisc: error:") and reason in err
     assert "Traceback" not in err
+
+
+@_MALFORMED_BODIES
+def test_csv_malformed_body_on_two_threads(tmp_path, monkeypatch, capsys, body, reason):
+    # 4-byte reads cut most bodies into several pieces; the error is the
+    # one a single thread gives, from load_points and from the CLI.
+    path = tmp_path / "bad.csv"
+    path.write_text("# dim=2 generator=bad seed=0\n" + body)
+    with pytest.raises(ValueError) as one:
+        load_points(path, threads=1)
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", 4)
+    with pytest.raises(ValueError, match=reason) as two:
+        load_points(path, threads=2)
+    assert str(two.value) == str(one.value)
+    args = ["disc", "--in", str(path), "--family", "circle", "--no-timestamp", "--threads", "2"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"capdisc: error: {one.value}\n"
 
 
 # The array reader needs a long double with a 64-bit mantissa (as on x86-64);
@@ -386,7 +412,7 @@ def force_reader(monkeypatch, reader):
             pytest.skip("no 64-bit long double: every file takes np.loadtxt")
         monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
     else:
-        monkeypatch.setattr(sphere, "_read_layout", lambda path: None)
+        monkeypatch.setattr(sphere, "_read_layout", lambda path, threads=1: None)
 
 
 def write_body(path, body, dim=2):
@@ -406,24 +432,36 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("reader", ["array", "loadtxt"])
-@pytest.mark.parametrize(
+_CSV_CHECKS = pytest.mark.parametrize(
     "check",
     [
         test_csv_round_trip,
         test_csv_seventeen_significant_digits,
-        lambda tmp_path: test_csv_matches_reference_writer_and_reloads_bit_identical(
-            tmp_path, edge_value_pointset()),
-        lambda tmp_path: test_csv_matches_reference_writer_and_reloads_bit_identical(
-            tmp_path, generate_uniform(2, 65_537, "random", seed=11)),
+        lambda tmp_path, threads=1: test_csv_matches_reference_writer_and_reloads_bit_identical(
+            tmp_path, edge_value_pointset(), threads),
+        lambda tmp_path, threads=1: test_csv_matches_reference_writer_and_reloads_bit_identical(
+            tmp_path, generate_uniform(2, 65_537, "random", seed=11), threads),
     ],
     ids=["round-trip", "seventeen-digits", "edge-values", "partial-last-block"],
 )
+
+
+@pytest.mark.parametrize("reader", ["array", "loadtxt"])
+@_CSV_CHECKS
 def test_csv_checks_through_each_reader(tmp_path, monkeypatch, reader, check):
     # "array" runs with np.loadtxt patched to raise, so save_points files
     # cannot drift off the array path without a failure here.
     force_reader(monkeypatch, reader)
     check(tmp_path)
+
+
+@_CSV_CHECKS
+def test_csv_checks_on_two_threads(tmp_path, monkeypatch, check):
+    # 1 KiB reads cut every file into pieces parsed on two threads, none of
+    # them through np.loadtxt.
+    force_reader(monkeypatch, "array")
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", 1 << 10)
+    check(tmp_path, threads=2)
 
 
 _EDGE_DOUBLES = [
@@ -450,6 +488,98 @@ def test_array_reader_returns_float_of_every_17g_token(tmp_path, xs):
     got = read_array(write_body(tmp_path / "x.csv", body))
     want = np.array([float(t) for t in tokens]).reshape(-1, 2)
     assert same_bits(got, want)
+
+
+def write_fields(xs, n):
+    """The writer's bytes for the values xs in rows of n."""
+    seps = np.tile(np.array([44] * (n - 1) + [10], np.uint8), len(xs) // n)
+    return sphere._format_fields(np.array(xs, dtype=float), seps).tobytes()
+
+
+def format_rows(xs, n):
+    """The same rows, one format(x, ".17g") per value."""
+    rows = [xs[i : i + n] for i in range(0, len(xs), n)]
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows).encode()
+
+
+def _around(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)]
+
+
+# Where the writer's array path begins and ends, and exact binary ties: an
+# odd j / 2^(18 + z) in the decade [10^-(z+1), 10^-z) has 18 + z decimals,
+# one past the 17 significant digits, and that one is a 5.
+_DECADE_EDGES = [v for p in (1e-1, 1e-2, 1e-3, 1e-4, 1.0) for x in _around(p) for v in (x, -x)]
+_BINARY_TIES = [
+    sign * j / 2.0 ** (18 + z)
+    for z in range(4)
+    for j in range(2 ** (18 + z) // 10 ** (z + 1) | 1, 2 ** (18 + z) // 10**z, 2 * 997)
+    for sign in (1, -1)
+]
+
+
+def _random_doubles():
+    # Uniform values in each decade of the array path, and raw bit patterns.
+    rng = np.random.default_rng(12)
+    xs = [rng.uniform(-1.0, 1.0, 50_000) * 10.0**-z for z in range(5)]
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    return np.concatenate(xs + [bits[np.isfinite(bits)]]).tolist()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+                min_size=1, max_size=60),
+       st.sampled_from([1, 2, 3, 5]))
+@example(_EDGE_DOUBLES, 2)
+@example([s * 2.0**e for e in range(-1074, 1024) for s in (1, -1)], 2)
+@example(_DECADE_EDGES, 2)
+@example(_BINARY_TIES, 2)
+@example(_random_doubles(), 2)
+@example([1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), -1.0,
+          -math.nextafter(1.0, 2.0), -math.nextafter(1.0, 0.0)], 3)
+def test_writer_gives_the_bytes_of_format_17g(xs, n):
+    xs = xs + [0.5] * (-len(xs) % n)
+    assert write_fields(xs, n) == format_rows(xs, n)
+
+
+def test_writer_decades_and_scales_are_exact():
+    # The array path's thresholds are the smallest doubles at or above
+    # 10^-1 .. 10^-4; the largest double below each decade's top rounds to
+    # fewer than 18 digits; and the scales 10^17 .. 10^20 split into 26-bit
+    # halves.
+    tops = [1.0] + sphere._DECADES.tolist()[:-1]
+    for z, t in enumerate(sphere._DECADES.tolist()):
+        assert Fraction(t) >= Fraction(1, 10 ** (z + 1)) > Fraction(math.nextafter(t, 0.0))
+        below = Fraction(math.nextafter(tops[z], 0.0)) * 10 ** (17 + z)
+        assert below < 10**17 - Fraction(1, 2)
+    for z, s in enumerate(sphere._SCALES.tolist()):
+        hi, lo = float(sphere._SCALES_HI[z]), float(sphere._SCALES_LO[z])
+        assert Fraction(s) == 10 ** (17 + z) == Fraction(hi) + Fraction(lo)
+        for half in (hi, lo):
+            assert half == 0.0 or Fraction(half) / 2 ** (math.frexp(half)[1] - 26) % 1 == 0
+
+
+def test_import_of_the_cli_leaves_fractions_out():
+    script = "import sys, capdisc.cli; assert 'fractions' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(sphere.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_save_points_memory_does_not_grow_with_n():
+    peaks = []
+    for N in (1 << 17, 1 << 20):
+        ps = generate_uniform(2, N, "kronecker_s1")
+        tracemalloc.start()
+        try:
+            save_points(ps, os.devnull)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Both peaks are one block's temporaries, about 1.8 MiB.
+    assert peaks[1] < 1.1 * peaks[0] and peaks[1] < 3 * 2**20, [p / 2**20 for p in peaks]
 
 
 def near_midpoint(x):
@@ -531,6 +661,36 @@ def test_row_longer_than_a_chunk_goes_to_loadtxt(tmp_path, monkeypatch):
         load_points(path)
 
 
+@needs_array_reader
+def test_threaded_reader_under_frequent_thread_switches(tmp_path, monkeypatch):
+    # Eight threads over 1 KiB pieces, switching every microsecond: each
+    # piece fills only its own rows, so every bit matches the saved array.
+    ps = generate_uniform(3, 5000, "random", seed=6)
+    path = tmp_path / "pts.csv"
+    save_points(ps, path)
+    force_reader(monkeypatch, "array")
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", 1 << 10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = load_points(path, threads=8).coords
+    finally:
+        sys.setswitchinterval(interval)
+    assert same_bits(got, ps.coords)
+
+
+@needs_array_reader
+def test_valid_row_longer_than_a_chunk_goes_to_loadtxt(tmp_path, monkeypatch):
+    # A read with no newline would make a piece longer than two reads, so
+    # the reader keeps its O(chunk) buffers and hands the file on.
+    tokens = ["0.5"] * 11 + ["-0.25"]
+    path = write_body(tmp_path / "wide.csv", (",".join(tokens) + "\n").encode() * 2, dim=12)
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", 16)
+    assert sphere._read_layout(path, threads=2) is None
+    want = PointSet([[float(t) for t in tokens]] * 2, Provenance("g", 1))
+    assert same_bits(load_points(path, threads=2).coords, want.coords)
+
+
 _BODY_PIECES = ["0", "7", "1", ".", "-", "e", "E", "+", ",", "\n", " ", "\r", "#", "x",
                 "0.5", "-0.25", "1e-5", "0.1234567890123456789012345", "9.99999999999999999",
                 "\n\n", ",,", "\xe9", "inf", "nan", "1_0", "1e999"]
@@ -550,28 +710,32 @@ _BODIES = st.one_of(
 @given(_BODIES, st.sampled_from([2, 3]))
 def test_array_reader_accepts_and_rejects_what_loadtxt_does(tmp_path, body, dim):
     # Whatever the body, load_points gives the bits or the error that
-    # np.loadtxt alone gives.
+    # np.loadtxt alone gives, also on two threads over 16-byte reads.
     path = write_body(tmp_path / "f.csv", body.encode(), dim=dim)
 
-    def outcome():
+    def outcome(threads=1):
         try:
-            return load_points(path).coords
+            return load_points(path, threads=threads).coords
         except ValueError as exc:
             return str(exc)
 
     got = outcome()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sphere, "_read_layout", lambda path: None)
+        mp.setattr(sphere, "_CSV_CHUNK", 16)
+        split = outcome(threads=2)
+        mp.setattr(sphere, "_read_layout", lambda path, threads=1: None)
         want = outcome()
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert not isinstance(got, str) and same_bits(got, want)
+    for result in (got, split):
+        if isinstance(want, str):
+            assert result == want
+        else:
+            assert not isinstance(result, str) and same_bits(result, want)
 
 
 @needs_array_reader
-def test_load_points_memory_is_the_result_plus_a_chunk(tmp_path):
-    # N = 2^20 rows of n = 2: the result is 16 MiB; the reader adds O(chunk).
+def test_load_points_memory_is_the_result_plus_a_chunk(tmp_path, threads=1):
+    # N = 2^20 rows of n = 2: the result is 16 MiB; the reader adds O(chunk)
+    # per thread.
     N, n = 1 << 20, 2
     block = tmp_path / "block.csv"
     save_points(generate_uniform(n, 1 << 16, "random", seed=4), block)
@@ -580,12 +744,17 @@ def test_load_points_memory_is_the_result_plus_a_chunk(tmp_path):
     path.write_bytes(header + b"\n" + body * (N >> 16))
     tracemalloc.start()
     try:
-        ps = load_points(path)
+        ps = load_points(path, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ps.coords.shape == (N, n)
     assert peak < 2.5 * N * n * 8, peak / 2**20
+
+
+@needs_array_reader
+def test_load_points_memory_on_two_threads(tmp_path):
+    test_load_points_memory_is_the_result_plus_a_chunk(tmp_path, threads=2)
 
 
 def test_pointset_copies_caller_arrays_and_adopts_its_own():
