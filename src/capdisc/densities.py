@@ -40,6 +40,15 @@ DRIVER_KINDS = ("van_der_corput_base2", "halton_2_3", "kronecker_golden")
 _BISECT_STEPS = 52
 _NEWTON_STEPS = 3
 
+# The transport's root hint: a table of the CDF at this many knots, then
+# Newton steps from the interpolated root.
+_LOCATE_KNOTS = 4097
+_LOCATE_STEPS = 2
+# Halvings whose brackets _table_brackets looks up.
+_TABLE_STEPS = 16
+# Beyond any bracket end: mid + _HUGE > b and mid - _HUGE < a.
+_HUGE = 1e300
+
 
 @dataclass(frozen=True)
 class Driver:
@@ -113,7 +122,10 @@ class PlanarRationalDensity:
     def cdf(self, theta):
         """Probability of [0, theta); the closed-form antiderivative."""
         th = np.asarray(theta, dtype=float)
-        return th / TWO_PI + (1.0 - np.cos(2.0 * self.q * th)) / (8.0 * np.pi * self.q)
+        # th / TWO_PI + osc, added in place: two temporaries at a time.
+        osc = (1.0 - np.cos(2.0 * self.q * th)) / (8.0 * np.pi * self.q)
+        osc += th / TWO_PI
+        return osc
 
 
 @dataclass(frozen=True)
@@ -234,20 +246,199 @@ def marginal_cdf(d: ZonalDensity, t: float) -> float:
     return 1.0 - cap_measure(d.dim, t) - d.coefficient * lam
 
 
-def _invert_monotone_vec(fvec, dvec, y, lo, hi):
-    """Vectorized bisection plus Newton polish for increasing CDFs."""
+def _cdf_error_bound(d) -> float:
+    """E with |fl(G(x)) - G(x)| <= E for the transport CDF G of `d` on its
+    whole range, G taken with exact pi and exact polynomials; u = 2^-53.
+
+    Planar, fl(G) = th / TWO_PI + (1 - cos(2q th)) / (8 pi q), term by term:
+    th / TWO_PI <= 1 carries TWO_PI's relative error 0.35u and its rounding
+    u/2; rounding 2q th (<= 4 pi q) moves the cosine by 4 pi q u, which the
+    division by 8 pi q turns into u/2; a cosine within k ulp, 1 - cos and
+    the constant 8 pi q add (k + 2) u / (8 pi) <= 0.2u for k <= 3; the
+    quotient and the final sum (<= 1.08) round by at most 0.06u and u.
+    That is about 2.6u = 3e-16; E = 4e-15 keeps a factor above 10.
+
+    Zonal on S^2, fl(G) = (t + 1)/2 + c (P_{k+1} - P_{k-1}) / (2 (2k + 1)):
+    one step of the recurrence (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}
+    (|P_j| <= 1, five roundings) errs by at most 7u.  An error at P_{m+1}
+    reaches P_n through the recurrence's own solution with P_m = 0 and
+    P_{m+1} = 1, which is largest at t = +-1 (checked on [-1, 1] for
+    every m < n <= MAX_DEGREE), where it is (m + 1)(H_n - H_m), H the
+    harmonic numbers.  Their sum over m stays below n^2 / 3, so the
+    recurrence errs by at most 7u n^2 / 3 at degree n.  With the two
+    degrees k +- 1 divided by 2k + 1 and the few roundings of the outer
+    expression (below 3u) this is u (7c (k^2 + 1) / (3 (2k + 1)) + 3);
+    E is ten times that.
+    """
+    u = 2.0**-53
+    if isinstance(d, PlanarRationalDensity):
+        return 4e-15
+    k, c = d.degree, d.coefficient
+    return 10.0 * u * (7.0 * c * (k * k + 1) / (3.0 * (2 * k + 1)) + 3.0)
+
+
+def _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err):
+    """Bounds below <= above around a root hint x* of fvec(x) = y such that
+    fvec(mid) < y exactly when mid < below, for every mid outside them.
+
+    Let G be the CDF that fvec evaluates, increasing on [lo, hi] from 0 to
+    1 with slope G' >= g = slope_floor, and E = err a bound on
+    |fvec(x) - G(x)|.  Take margin = (|fvec(x*) - y| + 3E) / g.  The root r
+    of G = y (y in [0, 1]) lies within (|fvec(x*) - y| + E) / g of x*.  A
+    mid farther than margin from x* then lies more than 2E / g from r, on
+    the side of x*, so |G(mid) - y| > 2E with the sign of mid - x*; as
+    rounding moves G(mid) by at most E, fvec(mid) < y exactly when
+    mid < x*.  The remaining E / g covers rounding in margin and in
+    x* -+ margin: relative 5u on margin <= (1 + 3E) / g, plus u max(|lo|,
+    |hi|), below E / g for E >= 7e-16 + g u max(|lo|, |hi|), u = 2^-53.
+    A NaN bound compares false on both sides, so it certifies nothing.
+    """
+    # x*: G^-1 interpolated on a uniform grid of [0, 1], so each y finds its
+    # cell by index, then Newton steps.
+    knots = np.linspace(lo, hi, _LOCATE_KNOTS)
+    inverse = np.interp(np.linspace(0.0, 1.0, _LOCATE_KNOTS), fvec(knots), knots)
+    pos = y * (_LOCATE_KNOTS - 1)
+    cell = np.clip(pos.astype(np.intp), 0, _LOCATE_KNOTS - 2)
+    x = inverse[cell] + (inverse[cell + 1] - inverse[cell]) * (pos - cell)
+    del pos, cell
+    for _ in range(_LOCATE_STEPS):
+        x = np.clip(x - (fvec(x) - y) / np.maximum(dvec(x), slope_floor), lo, hi)
+    margin = np.abs(fvec(x) - y)
+    margin += 3.0 * err
+    margin /= slope_floor
+    below = x - margin
+    margin += x
+    return below, margin
+
+
+def _table_brackets(lo, hi, below, above):
+    """The brackets [a, b] of the first _TABLE_STEPS halvings of [lo, hi],
+    looked up, and the indices where they cannot be.
+
+    The table: each pass puts 0.5 * (a + b), the mid the bisection takes of
+    the bracket [a, b], between every two neighbours a, b, so after j
+    passes the neighbours are the brackets of j halvings, float for float.
+    Where a cell (a, b) holds [below, above] (see _certified_bounds), every
+    mid the bisection meets on its way there is at most a or at least b,
+    so certified, and leads there.
+    """
+    grid = np.array([lo, hi], dtype=float)
+    for _ in range(_TABLE_STEPS):
+        finer = np.empty(2 * grid.size - 1)
+        finer[0::2] = grid
+        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
+        grid = finer
+    cells = grid.size - 1
+    # fmax / fmin send NaN to cell 0, where the test below fails.
+    cell = np.fmin(np.fmax((below - lo) * (cells / (hi - lo)), 0.0), cells - 1).astype(np.intp)
+    a = grid[cell]
+    cell += 1
+    b = grid[cell]
+    return a, b, np.flatnonzero(~((a < below) & (b > above)))
+
+
+def _take_halves(a, b, mid, less, step):
+    """a, b = where(less, mid, a), where(less, b, mid), in place, without
+    branching on the mask: mid + _HUGE rounds to _HUGE and mid - _HUGE to
+    -_HUGE, outside [a, b], so they lose the min and the max.  Uses mid
+    and step as scratch."""
+    np.multiply(less, _HUGE, out=step)
+    step += mid
+    np.minimum(b, step, out=b)
+    step -= mid
+    step -= _HUGE
+    mid += step
+    np.maximum(a, mid, out=a)
+
+
+def _replay(fvec, y, a, b, below, above, steps):
+    """Up to `steps` bisection halvings of the brackets [a, b], in place,
+    taking fvec(mid) < y as mid < below wherever mid lies outside
+    [below, above] (see _certified_bounds) and calling fvec on the other
+    mids.  Stops before a halving with more than a quarter of its mids
+    inside and returns the number of halvings taken."""
+    mid = np.empty_like(a)
+    step = np.empty_like(a)
+    less = np.empty(a.shape, dtype=bool)
+    sure = np.empty(a.shape, dtype=bool)
+    for taken in range(steps):
+        np.add(a, b, out=mid)
+        mid *= 0.5
+        np.less(mid, below, out=less)
+        np.greater(mid, above, out=sure)
+        sure |= less
+        unsure = np.flatnonzero(~sure)
+        if 4 * unsure.size > a.size:
+            return taken
+        if unsure.size:
+            less[unsure] = fvec(mid[unsure]) < y[unsure]
+        _take_halves(a, b, mid, less, step)
+    return steps
+
+
+def _halve(fvec, y, a, b, steps):
+    """`steps` bisection halvings of the brackets [a, b], in place, calling
+    fvec at every mid."""
+    mid = np.empty_like(a)
+    step = np.empty_like(a)
+    less = np.empty(a.shape, dtype=bool)
+    for _ in range(steps):
+        np.add(a, b, out=mid)
+        mid *= 0.5
+        np.less(fvec(mid), y, out=less)
+        _take_halves(a, b, mid, less, step)
+
+
+def _bisect(fvec, dvec, y, lo, hi, slope_floor, err):
+    """0.5 * (a + b) after the 52 halvings of [lo, hi] that keep a root of
+    fvec(x) = y in [a, b], bit for bit."""
+    below, above = _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err)
+    a, b, slow = _table_brackets(lo, hi, below, above)
+    if slow.size:
+        y_slow = y[slow]
+        a_slow = np.full(slow.size, lo)
+        b_slow = np.full(slow.size, hi)
+        taken = _replay(fvec, y_slow, a_slow, b_slow, below[slow], above[slow], _TABLE_STEPS)
+        _halve(fvec, y_slow, a_slow, b_slow, _TABLE_STEPS - taken)
+        a[slow], b[slow] = a_slow, b_slow
+    steps = _BISECT_STEPS - _TABLE_STEPS
+    taken = _replay(fvec, y, a, b, below, above, steps)
+    # Dropped here, so the whole-array fvec calls below do not hold them too.
+    del below, above
+    _halve(fvec, y, a, b, steps - taken)
+    a += b
+    a *= 0.5
+    return a
+
+
+def _invert_monotone_vec(fvec, dvec, y, lo, hi, slope_floor, err):
+    """Root in [lo, hi] of fvec(x) = y for an increasing CDF, y in [0, 1].
+
+    Bit for bit the 52 bisection halvings and 3 Newton steps
+
+        a, b = lo, hi
+        52 times: mid = 0.5 * (a + b); a, b = (mid, b) if fvec(mid) < y else (a, mid)
+        x = 0.5 * (a + b)
+        3 times: x = clip(x - (fvec(x) - y) / max(dvec(x), 1e-300), lo, hi)
+
+    with most fvec calls replaced by comparisons (`slope_floor` and `err`
+    as in _certified_bounds).  Each Newton step runs only where the last
+    one moved x: a step that leaves x's bits unchanged is at its fixed
+    point.
+    """
     y = np.asarray(y, dtype=float)
-    a = np.full(y.shape, lo)
-    b = np.full(y.shape, hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        less = fvec(mid) < y
-        a = np.where(less, mid, a)
-        b = np.where(less, b, mid)
-    x = 0.5 * (a + b)
-    for _ in range(_NEWTON_STEPS):
-        slope = np.maximum(dvec(x), 1e-300)
-        x = np.clip(x - (fvec(x) - y) / slope, lo, hi)
+
+    def newton(x, target):
+        return np.clip(x - (fvec(x) - target) / np.maximum(dvec(x), 1e-300), lo, hi)
+
+    old = _bisect(fvec, dvec, y, lo, hi, slope_floor, err)
+    x = newton(old, y)
+    moving = np.flatnonzero(x.view(np.int64) != old.view(np.int64))
+    for _ in range(_NEWTON_STEPS - 1):
+        old = x[moving]
+        new = newton(old, y[moving])
+        x[moving] = new
+        moving = moving[new.view(np.int64) != old.view(np.int64)]
     return x
 
 
@@ -270,8 +461,8 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     the axis.  Bitwise deterministic for fixed (density, N, driver).
 
     Points are made in fixed blocks of 2^16: each block draws its own
-    driver values and transports them, so temporaries are O(block) beside
-    the (N, n) result.  `threads` (>= 1) transport blocks in parallel; the
+    driver values and transports them into its rows of the (N, n) result,
+    so temporaries are O(block) beside it.  `threads` (>= 1) transport blocks in parallel; the
     block edges, and so every output bit, do not depend on it.
     """
     if N < 1:
@@ -282,11 +473,14 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
         if driver.ndim != 1:
             raise ValueError("planar generation needs a 1-D driver")
 
-        def transport(x):
+        floor, err = positivity_margin(d) / TWO_PI, _cdf_error_bound(d)
+
+        def transport(x, out):
             theta = _invert_monotone_vec(
-                d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI
+                d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI, floor, err
             )
-            return np.column_stack([np.cos(theta), np.sin(theta)])
+            out[:, 0] = np.cos(theta)
+            out[:, 1] = np.sin(theta)
 
         dim = 2
         desc = f"planar(p={d.p},q={d.q},driver={driver.kind},N={N})"
@@ -298,22 +492,24 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
         e, b1, b2 = _orthonormal_frame(d.axis)
         # Once, on the calling thread: its first call imports scipy.
         mass = weight_mass(3)
+        floor, err = positivity_margin(d) / mass, _cdf_error_bound(d)
 
-        def transport(xy):
+        def transport(xy, out):
             t = _invert_monotone_vec(
                 lambda tt: _zonal_cdf_dim3(d, tt),
                 lambda tt: d.density_at_t(tt) / mass,
                 xy[:, 0],
                 -1.0,
                 1.0,
+                floor,
+                err,
             )
             phi = TWO_PI * xy[:, 1]
             r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-            return (
-                t[:, None] * e[None, :]
-                + (r * np.cos(phi))[:, None] * b1[None, :]
-                + (r * np.sin(phi))[:, None] * b2[None, :]
-            )
+            # t e + r cos(phi) b1 + r sin(phi) b2, summed in that order.
+            np.multiply(t[:, None], e, out=out)
+            out += (r * np.cos(phi))[:, None] * b1
+            out += (r * np.sin(phi))[:, None] * b2
 
         dim = 3
         desc = (
@@ -327,7 +523,7 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
 
     def block(lo):
         x = Driver(driver.kind, driver.offset + lo).values(min(_SWEEP_BLOCK, N - lo))
-        coords[lo : lo + len(x)] = transport(x)
+        transport(x, coords[lo : lo + len(x)])
 
     _map_blocks(block, range(0, N, _SWEEP_BLOCK), threads)
     return PointSet._adopt(coords, Provenance(generator=desc, seed=driver.offset))

@@ -181,11 +181,28 @@ class PointSet:
         return np.where(psi >= 1.0, 0.0, psi)
 
 
+def _bit_reverse64(v):
+    # In place: swap adjacent bits, then bit pairs, then nibbles; byteswap
+    # reverses the bytes.
+    high = np.empty_like(v)
+    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+        np.right_shift(v, shift, out=high)
+        high &= np.uint64(mask)
+        v &= np.uint64(mask)
+        v <<= shift
+        v |= high
+    return v.byteswap(inplace=True)
+
+
 def radical_inverse(base: int, indices) -> np.ndarray:
     """Van der Corput radical inverse of integer indices in the given base."""
     idx = np.atleast_1d(np.asarray(indices, dtype=np.int64)).copy()
     if np.any(idx < 0):
         raise ValueError("indices must be nonnegative")
+    if base == 2 and np.all(idx < 2**53):
+        # The index's bits reversed over 64 places, times 2^-64: at most 53
+        # significant bits, so this is exactly the digit sum below.
+        return _bit_reverse64(idx.view(np.uint64)) * 2.0**-64
     out = np.zeros(idx.shape, dtype=float)
     scale = 1.0 / base
     while np.any(idx > 0):

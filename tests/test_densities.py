@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import capdisc.densities
@@ -26,7 +28,12 @@ from capdisc import (
     zonal_cap_probability,
 )
 from capdisc.cap_transform import weight_mass
-from capdisc.densities import _invert_monotone_vec, _orthonormal_frame, _zonal_cdf_dim3
+from capdisc.densities import (
+    _cdf_error_bound,
+    _invert_monotone_vec,
+    _orthonormal_frame,
+    _zonal_cdf_dim3,
+)
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -247,11 +254,12 @@ def test_marginal_cdf_general_dim():
 def test_inverse_cdf():
     uniform = lambda th: th / TWO_PI
     flat = lambda th: np.full_like(th, 1.0 / TWO_PI)
-    x = _invert_monotone_vec(uniform, flat, [0.0, 0.25], 0.0, TWO_PI)
+    x = _invert_monotone_vec(uniform, flat, [0.0, 0.25], 0.0, TWO_PI, 1.0 / TWO_PI, 4e-15)
     assert x == pytest.approx([0.0, math.pi / 2.0], abs=1e-10)
     d = zonal_density(c=0.8)
     g = lambda t: _zonal_cdf_dim3(d, t)
-    x = _invert_monotone_vec(g, lambda t: 0.5 * d.density_at_t(t), [0.55], -1.0, 1.0)
+    x = _invert_monotone_vec(g, lambda t: 0.5 * d.density_at_t(t), [0.55], -1.0, 1.0,
+                             0.5 * positivity_margin(d), _cdf_error_bound(d))
     assert abs(x[0]) <= 1e-10
     assert abs(marginal_cdf(d, float(x[0])) - 0.55) < 1e-12
 
@@ -334,21 +342,44 @@ def test_generate_validation():
         generate_qud(object(), 10, Driver("halton_2_3"))
 
 
-def whole_array_generate(d, N, driver):
-    """generate_qud as one N-sized transport, before it ran in blocks."""
+def bisect_then_polish(fvec, dvec, y, lo, hi):
+    """The transport as the plain loop of 52 bisection halvings and 3 Newton
+    steps, calling fvec at every mid: the bits generate_qud must keep."""
+    y = np.asarray(y, dtype=float)
+    a = np.full(y.shape, lo)
+    b = np.full(y.shape, hi)
+    for _ in range(52):
+        mid = 0.5 * (a + b)
+        less = fvec(mid) < y
+        a = np.where(less, mid, a)
+        b = np.where(less, b, mid)
+    x = 0.5 * (a + b)
+    for _ in range(3):
+        slope = np.maximum(dvec(x), 1e-300)
+        x = np.clip(x - (fvec(x) - y) / slope, lo, hi)
+    return x
+
+
+def transport_problem(d):
+    """(fvec, dvec, lo, hi, slope floor) of the CDF that generate_qud inverts."""
     if isinstance(d, PlanarRationalDensity):
-        x = driver.values(N)
-        theta = _invert_monotone_vec(d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI)
+        return (d.cdf, lambda th: d.density(th) / TWO_PI, 0.0, TWO_PI,
+                positivity_margin(d) / TWO_PI)
+    mass = weight_mass(3)
+    return (lambda t: _zonal_cdf_dim3(d, t), lambda t: d.density_at_t(t) / mass, -1.0, 1.0,
+            positivity_margin(d) / mass)
+
+
+def whole_array_generate(d, N, driver):
+    """generate_qud as one N-sized transport by the plain bisection loop,
+    before it ran in blocks."""
+    fvec, dvec, lo, hi, _ = transport_problem(d)
+    if isinstance(d, PlanarRationalDensity):
+        theta = bisect_then_polish(fvec, dvec, driver.values(N), lo, hi)
         coords = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
         xy = driver.values(N)
-        t = _invert_monotone_vec(
-            lambda tt: _zonal_cdf_dim3(d, tt),
-            lambda tt: d.density_at_t(tt) / weight_mass(3),
-            xy[:, 0],
-            -1.0,
-            1.0,
-        )
+        t = bisect_then_polish(fvec, dvec, xy[:, 0], lo, hi)
         phi = TWO_PI * xy[:, 1]
         e, b1, b2 = _orthonormal_frame(d.axis)
         r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
@@ -449,3 +480,80 @@ def test_zonal_degree_is_capped_at_max_degree():
     assert zonal_density(k=199).degree == 199
     with pytest.raises(ValueError, match="200"):
         zonal_density(k=201)
+
+
+TRANSPORT_DENSITIES = [PlanarRationalDensity(1, 3), PlanarRationalDensity(2, 5),
+                       PlanarRationalDensity(1, 4)] + [
+    zonal_density(c=c, k=k) for k in (1, 3, 21, 199) for c in (0.01, 0.8, 0.999)
+]
+
+
+def density_id(d):
+    if isinstance(d, PlanarRationalDensity):
+        return f"planar-{d.p}/{d.q}"
+    return f"zonal-k{d.degree}-c{d.coefficient}"
+
+
+@st.composite
+def transport_inputs(draw):
+    """A density and driver values y, some of them adversarial: fl(G(m)) and
+    its float neighbours for a mid m of a coarse bisection, which puts the
+    root within rounding of a mid the transport visits."""
+    d = draw(st.sampled_from(TRANSPORT_DENSITIES))
+    fvec, _, lo, hi, _ = transport_problem(d)
+    y = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=48))
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = lo, hi
+        for right in draw(st.lists(st.booleans(), min_size=0, max_size=20)):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if right else (a, mid)
+        g = float(fvec(np.array([0.5 * (a + b)]))[0])
+        shift = draw(st.integers(-3, 3))
+        for _ in range(abs(shift)):
+            g = math.nextafter(g, math.copysign(math.inf, shift))
+        if 0.0 <= g < 1.0:
+            y.append(g)
+    return d, np.array(draw(st.permutations(y)))
+
+
+@settings(max_examples=150)
+@given(transport_inputs())
+def test_transport_matches_the_plain_bisection_bit_for_bit(case):
+    d, y = case
+    fvec, dvec, lo, hi, floor = transport_problem(d)
+    want = bisect_then_polish(fvec, dvec, y, lo, hi)
+    got = _invert_monotone_vec(fvec, dvec, y, lo, hi, floor, _cdf_error_bound(d))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def long_double_cdf(d, x):
+    """The transport CDF's formula evaluated in long double."""
+    x = x.astype(np.longdouble)
+    if isinstance(d, PlanarRationalDensity):
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        return x / (2 * pi) + (1 - np.cos(2 * d.q * x)) / (8 * pi * d.q)
+    k = d.degree
+    poly = long_double_legendre(k + 1, x) - long_double_legendre(k - 1, x)
+    return (x + 1) / 2 + np.longdouble(d.coefficient) * poly / (2 * (2 * k + 1))
+
+
+def long_double_legendre(n, x):
+    """P_n(x) by the S^2 Legendre recurrence, in x's precision."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
+    return p if n else p_prev
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("d", TRANSPORT_DENSITIES, ids=density_id)
+def test_cdf_error_bound_holds_eight_times_over(d):
+    # E bounds |fl(G(x)) - G(x)|; the observed error, at random points and
+    # at transported roots and their float neighbours, stays 8 times below.
+    fvec, dvec, lo, hi, floor = transport_problem(d)
+    rng = np.random.default_rng(11)
+    roots = _invert_monotone_vec(fvec, dvec, rng.random(2000), lo, hi, floor, _cdf_error_bound(d))
+    x = np.concatenate([rng.uniform(lo, hi, 100_000), roots,
+                        np.nextafter(roots, lo), np.nextafter(roots, hi), [lo, hi]])
+    err = np.max(np.abs(fvec(x).astype(np.longdouble) - long_double_cdf(d, x)))
+    assert 8 * err <= _cdf_error_bound(d), float(err)

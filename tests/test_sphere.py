@@ -187,6 +187,32 @@ def test_radical_inverse_base2():
         radical_inverse(2, [-1])
 
 
+def radical_inverse_by_digits(base, indices):
+    """The digit loop: each base-b digit times its power of 1/b."""
+    idx = np.atleast_1d(np.asarray(indices, dtype=np.int64)).copy()
+    out = np.zeros(idx.shape, dtype=float)
+    scale = 1.0 / base
+    while np.any(idx > 0):
+        out += (idx % base) * scale
+        idx //= base
+        scale /= base
+    return out
+
+
+def test_base2_radical_inverse_by_bit_reversal_matches_the_digit_loop():
+    top = np.iinfo(np.int64).max
+    edges = [0, 1, 2**52, 2**53 - 1, 2**53, 2**53 + 1, top - 1, top]
+    rng = np.random.default_rng(9)
+    for idx in (edges, rng.integers(0, 2**53, 5000), rng.integers(0, top, 5000, endpoint=True),
+                top - np.arange(70_000), np.arange(2**53 - 100, 2**53 + 100)):
+        for base in (2, 3):
+            want = radical_inverse_by_digits(base, idx)
+            assert np.array_equal(radical_inverse(base, idx).view(np.int64), want.view(np.int64))
+    # each index alone gives its bits in a whole array too
+    for i in edges:
+        assert radical_inverse(2, i)[0] == radical_inverse_by_digits(2, [i])[0]
+
+
 def test_rotation_identity_and_involution():
     ps = generate_uniform(2, 50, "kronecker_s1")
     ident = rotate(ps, np.eye(2))
