@@ -44,8 +44,6 @@ _NEWTON_STEPS = 3
 # Newton steps from the interpolated root.
 _LOCATE_KNOTS = 4097
 _LOCATE_STEPS = 2
-# Halvings whose brackets _table_brackets looks up.
-_TABLE_STEPS = 16
 # Beyond any bracket end: mid + _HUGE > b and mid - _HUGE < a.
 _HUGE = 1e300
 
@@ -311,32 +309,6 @@ def _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err):
     return below, margin
 
 
-def _table_brackets(lo, hi, below, above):
-    """The brackets [a, b] of the first _TABLE_STEPS halvings of [lo, hi],
-    looked up, and the indices where they cannot be.
-
-    The table: each pass puts 0.5 * (a + b), the mid the bisection takes of
-    the bracket [a, b], between every two neighbours a, b, so after j
-    passes the neighbours are the brackets of j halvings, float for float.
-    Where a cell (a, b) holds [below, above] (see _certified_bounds), every
-    mid the bisection meets on its way there is at most a or at least b,
-    so certified, and leads there.
-    """
-    grid = np.array([lo, hi], dtype=float)
-    for _ in range(_TABLE_STEPS):
-        finer = np.empty(2 * grid.size - 1)
-        finer[0::2] = grid
-        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
-        grid = finer
-    cells = grid.size - 1
-    # fmax / fmin send NaN to cell 0, where the test below fails.
-    cell = np.fmin(np.fmax((below - lo) * (cells / (hi - lo)), 0.0), cells - 1).astype(np.intp)
-    a = grid[cell]
-    cell += 1
-    b = grid[cell]
-    return a, b, np.flatnonzero(~((a < below) & (b > above)))
-
-
 def _take_halves(a, b, mid, less, step):
     """a, b = where(less, mid, a), where(less, b, mid), in place, without
     branching on the mask: mid + _HUGE rounds to _HUGE and mid - _HUGE to
@@ -351,61 +323,40 @@ def _take_halves(a, b, mid, less, step):
     np.maximum(a, mid, out=a)
 
 
-def _replay(fvec, y, a, b, below, above, steps):
-    """Up to `steps` bisection halvings of the brackets [a, b], in place,
-    taking fvec(mid) < y as mid < below wherever mid lies outside
-    [below, above] (see _certified_bounds) and calling fvec on the other
-    mids.  Stops before a halving with more than a quarter of its mids
-    inside and returns the number of halvings taken."""
+def _bisect(fvec, dvec, y, lo, hi, slope_floor, err):
+    """0.5 * (a + b) after the 52 halvings of [lo, hi] that keep a root of
+    fvec(x) = y in [a, b], bit for bit.
+
+    fvec(mid) < y is taken as mid < below wherever mid lies outside
+    [below, above] (see _certified_bounds), and fvec is called on the
+    other mids only.  Once more than a quarter of a halving's mids lie
+    inside, fvec is called on every mid of that and each later halving.
+    """
+    below, above = _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err)
+    a = np.full(y.shape, lo, dtype=float)
+    b = np.full(y.shape, hi, dtype=float)
     mid = np.empty_like(a)
     step = np.empty_like(a)
     less = np.empty(a.shape, dtype=bool)
     sure = np.empty(a.shape, dtype=bool)
-    for taken in range(steps):
+    whole = False
+    for _ in range(_BISECT_STEPS):
         np.add(a, b, out=mid)
         mid *= 0.5
-        np.less(mid, below, out=less)
-        np.greater(mid, above, out=sure)
-        sure |= less
-        unsure = np.flatnonzero(~sure)
-        if 4 * unsure.size > a.size:
-            return taken
-        if unsure.size:
-            less[unsure] = fvec(mid[unsure]) < y[unsure]
+        if not whole:
+            np.less(mid, below, out=less)
+            np.greater(mid, above, out=sure)
+            sure |= less
+            unsure = np.flatnonzero(~sure)
+            if 4 * unsure.size > a.size:
+                # Dropped here, so the whole-block fvec calls do not hold them too.
+                whole = True
+                del below, above, sure, unsure
+            elif unsure.size:
+                less[unsure] = fvec(mid[unsure]) < y[unsure]
+        if whole:
+            np.less(fvec(mid), y, out=less)
         _take_halves(a, b, mid, less, step)
-    return steps
-
-
-def _halve(fvec, y, a, b, steps):
-    """`steps` bisection halvings of the brackets [a, b], in place, calling
-    fvec at every mid."""
-    mid = np.empty_like(a)
-    step = np.empty_like(a)
-    less = np.empty(a.shape, dtype=bool)
-    for _ in range(steps):
-        np.add(a, b, out=mid)
-        mid *= 0.5
-        np.less(fvec(mid), y, out=less)
-        _take_halves(a, b, mid, less, step)
-
-
-def _bisect(fvec, dvec, y, lo, hi, slope_floor, err):
-    """0.5 * (a + b) after the 52 halvings of [lo, hi] that keep a root of
-    fvec(x) = y in [a, b], bit for bit."""
-    below, above = _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err)
-    a, b, slow = _table_brackets(lo, hi, below, above)
-    if slow.size:
-        y_slow = y[slow]
-        a_slow = np.full(slow.size, lo)
-        b_slow = np.full(slow.size, hi)
-        taken = _replay(fvec, y_slow, a_slow, b_slow, below[slow], above[slow], _TABLE_STEPS)
-        _halve(fvec, y_slow, a_slow, b_slow, _TABLE_STEPS - taken)
-        a[slow], b[slow] = a_slow, b_slow
-    steps = _BISECT_STEPS - _TABLE_STEPS
-    taken = _replay(fvec, y, a, b, below, above, steps)
-    # Dropped here, so the whole-array fvec calls below do not hold them too.
-    del below, above
-    _halve(fvec, y, a, b, steps - taken)
     a += b
     a *= 0.5
     return a
