@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cap_transform import funk_hecke_lambda, weight_mass
-from .orthopoly import MAX_DEGREE, legendre_eval
+from .orthopoly import MAX_DEGREE, _legendre_run, legendre_eval
 from .sphere import (
     _SWEEP_BLOCK,
     Cap,
@@ -218,9 +218,13 @@ def positivity_margin(d) -> float:
 def _zonal_cdf_dim3(d: ZonalDensity, t):
     # For S^2 the weight is constant, so the antiderivative is polynomial:
     # int_{-1}^t P_k = (P_{k+1} - P_{k-1}) / (2k+1), vanishing at t = -1.
+    # One run of the recurrence passes through P_{k-1} on its way to P_{k+1}.
     t = np.asarray(t, dtype=float)
     k, c = d.degree, d.coefficient
-    poly = (legendre_eval(3, k + 1, t) - legendre_eval(3, k - 1, t)) / (2 * k + 1)
+    for j, p in enumerate(_legendre_run(3, k + 1, t)):
+        if j == k - 1:
+            lower = p
+    poly = (p - lower) / (2 * k + 1)
     return 0.5 * (t + 1.0) + 0.5 * c * poly
 
 

@@ -64,7 +64,13 @@ class TelescopeResult:
 
 
 def empirical_cap_fraction(ps: PointSet, cap: Cap) -> float:
-    """Fraction of points lying in the closed cap, an exact rational count/N."""
+    """Fraction of points lying in the closed cap, count/N.
+
+    The count is exact for the dot products x . center that BLAS returns.
+    Those are rounded, and their bits depend on the shape of the product,
+    so a point within a few ulp of the boundary may count differently in
+    a product of another shape.
+    """
     if ps.dim != cap.dim:
         raise ValueError("dimension mismatch between point set and cap")
     if ps.size < 1:
@@ -74,17 +80,23 @@ def empirical_cap_fraction(ps: PointSet, cap: Cap) -> float:
 
 def _count_ranks(psi_sorted, lo, hi, wrapped):
     # Points in [lo, hi), or in [lo, 1) and [0, hi) where wrapped, by rank
-    # differences on the sorted turns.
-    lo_rank = np.searchsorted(psi_sorted, lo, side="left")
-    hi_rank = np.searchsorted(psi_sorted, hi, side="left")
-    return np.where(wrapped, (psi_sorted.size - lo_rank) + hi_rank, hi_rank - lo_rank)
+    # differences on the sorted turns; exact integers, summed in place.
+    counts = np.searchsorted(psi_sorted, hi, side="left")
+    counts -= np.searchsorted(psi_sorted, lo, side="left")
+    np.add(counts, psi_sorted.size, out=counts, where=wrapped)
+    return counts
 
 
 def _two_sum(x, y):
-    # Knuth's TwoSum: s = fl(x + y) and the exact error (x + y) - s.
+    # Knuth's TwoSum: s = fl(x + y) and the exact error
+    # (x - (s - y_part)) + (y - y_part) = (x + y) - s, in three arrays.
     s = x + y
     y_part = s - x
-    return s, (x - (s - y_part)) + (y - y_part)
+    err = s - y_part
+    np.subtract(x, err, out=err)
+    np.subtract(y, y_part, out=y_part)
+    err += y_part
+    return s, err
 
 
 def _arc_ends(base, step):
@@ -102,14 +114,20 @@ def _arc_ends(base, step):
         wrapped = h < 0.0  # h == 0.0 only where base + step is exactly 0
     # end = g + e1 + e exactly.  e1 + e is rounded only where e1 != 0, when
     # an end in (-1/2, 0) moves up by 1: then g >= 1/2 and |e1 + e| < 2^-53,
-    # so the rounding error r below is under 2^-106.
+    # so the rounding error r below is under 2^-106.  Each sum's inputs are
+    # dropped once used, so a block holds at most six arrays.
     g, e1 = _two_sum(h, np.where(wrapped, -math.copysign(1.0, step), 0.0))
+    del h
     big, r = _two_sum(e1, e)
+    del e, e1
     s, t = _two_sum(g, big)
+    del g, big
     # end = s + t + r exactly: |t| is at most half the spacing at s and r is
     # far smaller, so no float lies strictly between s and end, and the
     # rounded t + r has the sign of end - s.
-    return np.where(t + r > 0.0, np.nextafter(s, 2.0), s), wrapped
+    t += r
+    np.nextafter(s, 2.0, out=s, where=t > 0.0)
+    return s, wrapped
 
 
 def arc_discrepancy_fixed_length(ps: PointSet, a: float, threads: int = 1) -> DiscrepancyReport:
@@ -131,8 +149,15 @@ def arc_discrepancy_fixed_length(ps: PointSet, a: float, threads: int = 1) -> Di
     return _arc_sweep(ps, a, f"fixed-length(a={a!r})", threads)
 
 
+def _sorted_turns(ps):
+    # The turns hold no NaN and no -0.0, so an in-place sort gives np.sort's bits.
+    psi = ps.turns()
+    psi.sort()
+    return psi
+
+
 def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> DiscrepancyReport:
-    psi = np.sort(ps.turns())
+    psi = _sorted_turns(ps)
     # Evaluation order: the starts psi_i (arcs [psi_i, psi_i + a)), then the
     # entries psi_i - a (arcs [psi_i - a, psi_i)).
     jobs = [(step, lo) for step in (a, -a) for lo in range(0, psi.size, _SWEEP_BLOCK)]
@@ -145,7 +170,9 @@ def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> Discrepancy
             counts = _count_ranks(psi, block, ends, wrapped)
         else:
             counts = _count_ranks(psi, ends, block, wrapped)
-        dev = np.abs(counts / ps.size - a)
+        dev = counts / ps.size
+        dev -= a
+        np.abs(dev, out=dev)
         i = int(np.argmax(dev))
         # The reported start is the float psi_i or psi_i - a, wrapped into
         # [0, 1).
@@ -171,24 +198,30 @@ def circle_discrepancy(ps: PointSet) -> DiscrepancyReport:
 
     With sorted turns x_1 <= ... <= x_N and A_m = m/N - x_m, the supremum
     over all arcs of |count/N - length| equals 1/N + max(A) - min(A); the
-    anchored-arc ([0, beta)) supremum comes from the neighboring piece
-    values at each point.
+    anchored-arc ([0, beta)) supremum is the largest of |m/N - x_m| and
+    |(m-1)/N - x_m|, the neighboring piece values at each point.  Both are
+    taken over blocks of 2^16 points, so memory is the sorted turns plus
+    O(block).
     """
     if ps.dim != 2:
         raise ValueError("circle discrepancy is defined on the circle (dim 2)")
-    psi = np.sort(ps.turns())
+    psi = _sorted_turns(ps)
     n = ps.size
-    ranks = np.arange(1, n + 1) / n
-    profile = ranks - psi
-    j_hi = int(np.argmax(profile))
-    j_lo = int(np.argmin(profile))
-    value = 1.0 / n + float(profile[j_hi] - profile[j_lo])
-
-    padded = np.concatenate([[0.0], psi, [1.0]])
-    levels = np.arange(0, n + 1) / n
-    star = float(
-        max(np.abs(levels - padded[:-1]).max(), np.abs(levels - padded[1:]).max())
-    )
+    # Strict comparisons across blocks keep the first maximum and minimum,
+    # as np.argmax and np.argmin over the whole profile would.
+    j_hi = j_lo = 0
+    a_hi, a_lo, star = -np.inf, np.inf, 0.0
+    for lo in range(0, n, _SWEEP_BLOCK):
+        x = psi[lo : lo + _SWEEP_BLOCK]
+        below = np.arange(lo, lo + x.size) / n - x  # (m-1)/N - x_m
+        profile = np.arange(lo + 1, lo + 1 + x.size) / n - x  # A_m
+        star = max(star, float(np.abs(below).max()), float(np.abs(profile).max()))
+        i, k = int(np.argmax(profile)), int(np.argmin(profile))
+        if profile[i] > a_hi:
+            j_hi, a_hi = lo + i, profile[i]
+        if profile[k] < a_lo:
+            j_lo, a_lo = lo + k, profile[k]
+    value = 1.0 / n + float(a_hi - a_lo)
 
     length = psi[j_hi] - psi[j_lo]
     if length < 0.0:
@@ -235,9 +268,13 @@ def _tile_rows(m_dirs):
 def _cap_counts(coords, dirs, s, threads=1):
     # Points with x . u >= s for each row u of dirs, tile by tile.  Each
     # tile's 0/1 bytes are summed as uint8 over runs of _BYTE_ROWS rows,
-    # which cannot overflow, so the int64 counts stay exact.  The points
-    # are cut into at most `threads` runs of whole tiles, counted in
-    # parallel; integer sums are exact, so the cut never changes a count.
+    # which cannot overflow, so the int64 counts of the tiles' flags are
+    # exact.  The flags are only as exact as the dot products BLAS returns:
+    # their bits depend on the tile's shape, so a point within a few ulp of
+    # the boundary may flip in a product of another shape.  The points are
+    # cut into at most `threads` runs of whole tiles, counted in parallel;
+    # the tiles do not depend on the cut and integer sums are exact, so the
+    # cut never changes a count.
     if threads < 1:
         raise ValueError(f"need at least one thread, got threads={threads}")
     n_pts, m_dirs = coords.shape[0], len(dirs)
@@ -326,7 +363,7 @@ def cap_discrepancy_fixed_height(
         signed = np.stack([tangents, -tangents], axis=1).reshape(-1, n)
         probes = np.cos(step) * u + np.sin(step) * signed
         probes /= np.linalg.norm(probes, axis=1)[:, None]
-        counts = _cap_counts(coords, probes, s)
+        counts = _cap_counts(coords, probes, s, threads)
         devs = np.abs(counts / ps.size - target)
         i = int(np.argmax(devs))
         if devs[i] > current:
@@ -361,7 +398,7 @@ def telescoping_check(ps: PointSet, a: float, m: int) -> TelescopeResult:
         raise ValueError(f"arc fraction must lie in (0, 1), got {a}")
     if m < 1:
         raise ValueError(f"need m >= 1 arcs, got {m}")
-    psi = np.sort(ps.turns())
+    psi = _sorted_turns(ps)
     n = ps.size
 
     pos = np.arange(m + 1, dtype=float) * a

@@ -44,24 +44,28 @@ def legendre_eval(d: int, k: int, t):
     is numerically stable on [-1, 1].  Accepts a scalar or an ndarray.
     """
     _check_dim_degree(d, k)
+    for out in _legendre_run(d, k, np.atleast_1d(t)):
+        pass
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _legendre_run(d, k, t):
+    # P_0, P_1, ..., P_k at t, one new array per degree, yielded in turn.
+    # Points farther outside [-1, 1] than _DOMAIN_SLACK are rejected and
+    # the rest clipped into it.
     arr = np.asarray(t, dtype=float)
     if np.any(np.abs(arr) > 1.0 + _DOMAIN_SLACK):
         raise ValueError("argument outside [-1, 1]")
     arr = np.clip(arr, -1.0, 1.0)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-
+    p_prev = np.ones_like(arr)
+    yield p_prev
     if k == 0:
-        out = np.ones_like(arr)
-    elif k == 1:
-        out = arr.copy()
-    else:
-        p_prev = np.ones_like(arr)
-        p = arr.copy()
-        for j in range(1, k):
-            p, p_prev = ((2 * j + d - 2) * arr * p - j * p_prev) / (j + d - 2), p
-        out = p
-    return float(out[0]) if scalar else out
+        return
+    p = arr.copy()
+    yield p
+    for j in range(1, k):
+        p, p_prev = ((2 * j + d - 2) * arr * p - j * p_prev) / (j + d - 2), p
+        yield p
 
 
 def _eval_with_derivative(d, k, t):

@@ -19,8 +19,9 @@ _UNIT_TOL = 1e-12
 
 TWO_PI = 2.0 * np.pi
 
-# Points per block in generation, the arc sweep and PointSet's checks; keeps
-# their temporaries O(block) and fixes the block edges for every thread count.
+# Points per block in generation, PointSet's checks and angles, the arc sweep
+# and the circle family; keeps their temporaries O(block) and fixes the block
+# edges for every thread count.
 _SWEEP_BLOCK = 1 << 16
 
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
@@ -168,17 +169,31 @@ class PointSet:
 
     def angles(self) -> np.ndarray:
         """Canonical angles in [0, 2*pi) for a planar point set."""
-        if self.dim != 2:
-            raise ValueError("angles are defined for dim 2 only")
-        # + 0.0 turns the -0.0 of a point at (x > 0, -0.0) into 0.0.
-        theta = np.arctan2(self.coords[:, 1], self.coords[:, 0]) + 0.0
-        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
-        return np.where(theta >= TWO_PI, 0.0, theta)
+        return self._angles(turns=False)
 
     def turns(self) -> np.ndarray:
         """Angles rescaled to [0, 1)."""
-        psi = self.angles() / TWO_PI
-        return np.where(psi >= 1.0, 0.0, psi)
+        return self._angles(turns=True)
+
+    def _angles(self, turns):
+        # Row blocks written into one result keep the temporaries O(block);
+        # each element goes through the same ufuncs in the same order as in
+        # one whole-array pass, so no bit depends on the blocks.
+        if self.dim != 2:
+            raise ValueError("angles are defined for dim 2 only")
+        out = np.empty(self.size)
+        for lo in range(0, self.size, _SWEEP_BLOCK):
+            xy = self.coords[lo : lo + _SWEEP_BLOCK]
+            theta = out[lo : lo + _SWEEP_BLOCK]
+            np.arctan2(xy[:, 1], xy[:, 0], out=theta)
+            # + 0.0 turns the -0.0 of a point at (x > 0, -0.0) into 0.0.
+            theta += 0.0
+            np.add(theta, TWO_PI, out=theta, where=theta < 0.0)
+            theta[theta >= TWO_PI] = 0.0
+            if turns:
+                theta /= TWO_PI
+                theta[theta >= 1.0] = 0.0
+        return out
 
 
 def _bit_reverse64(v):

@@ -34,6 +34,7 @@ from capdisc.densities import (
     _orthonormal_frame,
     _zonal_cdf_dim3,
 )
+from capdisc.orthopoly import legendre_eval
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -229,6 +230,31 @@ def test_marginal_cdf_dim3():
     assert np.all(np.diff(vals) > 0.0)
     with pytest.raises(ValueError):
         marginal_cdf(d, 1.5)
+
+
+@pytest.mark.parametrize("k", [1, 3, 21, 199])
+@pytest.mark.parametrize("c", [0.01, 0.8])
+def test_zonal_cdf_one_recurrence_run_matches_two_calls(k, c):
+    # The CDF as two separate recurrence runs, to degrees k + 1 and k - 1.
+    d = zonal_density(c=c, k=k)
+
+    def two_calls(t):
+        t = np.asarray(t, dtype=float)
+        poly = (legendre_eval(3, k + 1, t) - legendre_eval(3, k - 1, t)) / (2 * k + 1)
+        return 0.5 * (t + 1.0) + 0.5 * c * poly
+
+    # Both ends, points just past them within the domain slack, and a grid.
+    t = np.concatenate([[-1.0 - 1e-13, -1.0, -0.0, 0.0, 1.0, 1.0 + 1e-13],
+                        np.random.default_rng(k).uniform(-1.0, 1.0, 1001)])
+    got, want = _zonal_cdf_dim3(d, t), two_calls(t)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x in (-0.37, 0.9999, 1.0):
+        scalar = _zonal_cdf_dim3(d, x)
+        assert np.ndim(scalar) == 0
+        assert np.float64(scalar).view(np.int64) == np.float64(two_calls(x)).view(np.int64)
+    with pytest.raises(ValueError, match="outside"):
+        _zonal_cdf_dim3(d, np.array([0.5, 1.5]))
 
 
 def test_marginal_cdf_uniform_limit():

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import capdisc.discrepancy
+import capdisc.sphere
 from capdisc import (
     Cap,
     Driver,
@@ -502,6 +503,136 @@ def test_kronecker_circle_discrepancy():
     assert circle_discrepancy(ps).value < 0.005
 
 
+def whole_array_angles(coords):
+    """angles() and turns() as one whole-array pass each: the element
+    operations, in order, that the blocked methods must reproduce."""
+    theta = np.arctan2(coords[:, 1], coords[:, 0]) + 0.0
+    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+    theta = np.where(theta >= TWO_PI, 0.0, theta)
+    psi = theta / TWO_PI
+    return theta, np.where(psi >= 1.0, 0.0, psi)
+
+
+def whole_array_circle(psi):
+    """circle_discrepancy over whole arrays: (value, star_value, witness)."""
+    psi = np.sort(psi)
+    n = psi.size
+    profile = np.arange(1, n + 1) / n - psi
+    j_hi, j_lo = int(np.argmax(profile)), int(np.argmin(profile))
+    value = 1.0 / n + float(profile[j_hi] - profile[j_lo])
+    padded = np.concatenate([[0.0], psi, [1.0]])
+    levels = np.arange(0, n + 1) / n
+    star = float(max(np.abs(levels - padded[:-1]).max(), np.abs(levels - padded[1:]).max()))
+    length = psi[j_hi] - psi[j_lo]
+    if length < 0.0:
+        length += 1.0
+    return value, star, {"theta0": float(TWO_PI * psi[j_lo]), "length": float(TWO_PI * length)}
+
+
+# (1, -0.0), whose atan2 is -0.0; the negative axes; and tiny negative
+# angles, the first 44 of which wrap from 2 pi to 0 after + 2 pi.
+EDGE_POINTS = np.array(
+    [[1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, -1.0], [0.0, 1.0]]
+    + [[1.0, -k * 1e-17] for k in range(1, 100)]
+)
+
+
+def edge_case_points(n, seed):
+    # Turns on a 4099-point lattice, so most are duplicated, with the edge
+    # points at random rows.
+    rng = np.random.default_rng(seed)
+    theta = TWO_PI * (rng.integers(0, 4099, n) / 4099)
+    coords = np.column_stack([np.cos(theta), np.sin(theta)])
+    m = min(n, len(EDGE_POINTS))
+    coords[rng.choice(n, m, replace=False)] = EDGE_POINTS[:m]
+    return PointSet(coords, Provenance("edges", seed))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_circle_bits(ps, psi):
+    value, star, witness = whole_array_circle(psi)
+    rep = circle_discrepancy(ps)
+    assert bits(rep.value) == bits(value)
+    assert bits(rep.star_value) == bits(star)
+    assert rep.witness.keys() == witness.keys()
+    for key, x in witness.items():
+        assert bits(rep.witness[key]) == bits(x), key
+
+
+def test_edge_points_take_the_wraps():
+    raw = np.arctan2(EDGE_POINTS[:, 1], EDGE_POINTS[:, 0])
+    theta, psi = whole_array_angles(EDGE_POINTS)
+    assert np.signbit(raw[0]) and bits(theta[0]) == 0
+    tiny = raw[5:]
+    assert np.all(tiny < 0.0)
+    assert np.count_nonzero(tiny + TWO_PI == TWO_PI) == 44
+    assert np.all(theta[5:49] == 0.0) and np.all(psi[49:] < 1.0) and np.all(psi[49:] > 0.99)
+
+
+@pytest.mark.parametrize("n", [1, 2, 65_535, 65_536, 65_537, 200_003])
+def test_blocked_angles_and_circle_bit_identical_to_whole_arrays(n):
+    ps = edge_case_points(n, n)
+    theta, psi = whole_array_angles(ps.coords)
+    assert np.array_equal(bits(ps.angles()), bits(theta))
+    assert np.array_equal(bits(ps.turns()), bits(psi))
+    assert_circle_bits(ps, psi)
+
+
+def test_blocked_angles_and_circle_bit_identical_at_small_blocks(monkeypatch):
+    block = 61
+    monkeypatch.setattr(capdisc.sphere, "_SWEEP_BLOCK", block)
+    monkeypatch.setattr(capdisc.discrepancy, "_SWEEP_BLOCK", block)
+    for n in (block - 1, block, block + 1, 7 * block + 3, 300 * block):
+        ps = edge_case_points(n, n)
+        theta, psi = whole_array_angles(ps.coords)
+        assert np.array_equal(bits(ps.angles()), bits(theta)), n
+        assert np.array_equal(bits(ps.turns()), bits(psi)), n
+        assert_circle_bits(ps, psi)
+
+
+@pytest.mark.parametrize("block", [4, 2**16])
+def test_circle_keeps_the_first_extremes_tied_across_a_block_edge(monkeypatch, block):
+    # Turns 0 in the first block and 1/2 in the second, N = 2 * block: the
+    # profile m/N - x_m reaches its maximum 1/2 at the last point of each
+    # block and its minimum 1/N at the first point of each, all exactly.
+    # The first of each pair is the witness: an arc of length 0 at 0.
+    monkeypatch.setattr(capdisc.discrepancy, "_SWEEP_BLOCK", block)
+    ps = PointSet(np.repeat([[1.0, 0.0], [-1.0, 0.0]], block, axis=0), Provenance("halves", 0))
+    psi = ps.turns()
+    assert np.array_equal(psi, np.repeat([0.0, 0.5], block))
+    rep = circle_discrepancy(ps)
+    assert rep.value == 0.5
+    assert rep.witness == {"theta0": 0.0, "length": 0.0}
+    assert_circle_bits(ps, psi)
+
+
+def test_turns_and_circle_memory_is_one_array_plus_blocks():
+    n = 2**20
+    ps = pointset_from_turns(np.random.default_rng(23).uniform(0.0, 1.0, n))
+    arrays = {}
+    for name, run in (
+        ("turns", ps.turns),
+        ("circle", lambda: circle_discrepancy(ps)),
+        ("arc, one thread", lambda: arc_discrepancy_fixed_length(ps, 0.3)),
+        ("arc, two threads", lambda: arc_discrepancy_fixed_length(ps, 0.3, threads=2)),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            arrays[name] = tracemalloc.get_traced_memory()[1] / (8 * n)
+        finally:
+            tracemalloc.stop()
+    # Float64 arrays of length N at the peak: the result or the sorted
+    # turns, plus O(block) temporaries per thread.
+    assert arrays["turns"] < 1.5, arrays
+    assert arrays["circle"] < 2.0, arrays
+    assert arrays["arc, one thread"] < 1.5, arrays
+    assert arrays["arc, two threads"] < 2.0, arrays
+
+
 def test_cap_search_single_point():
     ps = PointSet(np.array([[0.0, 0.0, 1.0]]), Provenance("one", 0))
     rep = cap_discrepancy_fixed_height(ps, 0.0, M=500, refine=5)
@@ -527,13 +658,23 @@ def test_cap_search_monotone_in_directions():
     assert large.value >= small.value
 
 
-def test_cap_search_thread_count_independent():
+def test_cap_search_thread_count_independent(monkeypatch):
     # More points than one tile of the scan (187 rows for M = 700) and of the
-    # probes (32768 rows).
+    # probes (32768 rows), so the scan and every hill-climb round split.
+    threads_seen = []
+    count = capdisc.discrepancy._cap_counts
+
+    def recording_count(coords, dirs, s, threads=1):
+        threads_seen.append(threads)
+        return count(coords, dirs, s, threads)
+
+    monkeypatch.setattr(capdisc.discrepancy, "_cap_counts", recording_count)
     ps = generate_uniform(3, 40_000, "fibonacci_s2")
     a = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=1)
     for threads in (2, 4):
+        threads_seen.clear()
         b = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=threads)
+        assert threads_seen == [threads] * 7  # the scan and the 6 rounds
         assert a.value == b.value
         assert a.witness == b.witness
         assert a.trace == b.trace
