@@ -22,7 +22,6 @@ from .discrepancy import (
     arc_discrepancy_fixed_length,
     cap_discrepancy_fixed_height,
     circle_discrepancy,
-    empirical_cap_fraction,
     telescoping_check,
 )
 from .orthopoly import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -165,6 +166,8 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_verify_caps(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
     axis = _parse_axis(args.axis, args.n)
     density = ZonalDensity(dim=args.n, degree=args.k, coefficient=args.c, axis=axis)
     target = cap_measure(args.n, args.s)
@@ -279,8 +282,8 @@ def main(argv=None) -> int:
         args.axis = ",".join(["0"] * (args.n - 1) + ["1"])
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"capdisc: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"capdisc: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

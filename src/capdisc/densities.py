@@ -109,10 +109,6 @@ class PlanarRationalDensity:
         if 2 * self.p >= self.q:
             raise ValueError(f"arc fraction p/q must be below 1/2, got {self.p}/{self.q}")
 
-    @property
-    def arc_fraction(self) -> float:
-        return self.p / self.q
-
     def density(self, theta):
         """Radon-Nikodym density relative to normalized arc length."""
         return 1.0 + 0.5 * np.sin(2.0 * self.q * np.asarray(theta, dtype=float))
@@ -150,10 +146,6 @@ class ZonalDensity:
     def density_at_t(self, t):
         """Density as a function of t = axis . v."""
         return 1.0 + self.coefficient * legendre_eval(self.dim, self.degree, t)
-
-    def density(self, v):
-        dot = float(np.clip(np.dot(unit_vector(v), self.axis), -1.0, 1.0))
-        return float(self.density_at_t(dot))
 
 
 def planar_arc_probability(d: PlanarRationalDensity, theta0: float, length: float) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 from .sphere import (
     _SWEEP_BLOCK,
     TWO_PI,
-    Cap,
     PointSet,
     Provenance,
     _map_blocks,
@@ -61,21 +60,6 @@ class TelescopeResult:
     k: int
     beta: float
     rhs: float
-
-
-def empirical_cap_fraction(ps: PointSet, cap: Cap) -> float:
-    """Fraction of points lying in the closed cap, count/N.
-
-    The count is exact for the dot products x . center that BLAS returns.
-    Those are rounded, and their bits depend on the shape of the product,
-    so a point within a few ulp of the boundary may count differently in
-    a product of another shape.
-    """
-    if ps.dim != cap.dim:
-        raise ValueError("dimension mismatch between point set and cap")
-    if ps.size < 1:
-        raise ValueError("empty point set")
-    return int(_cap_counts(ps.coords, cap.center[None, :], cap.height)[0]) / ps.size
 
 
 def _count_ranks(psi_sorted, lo, hi, wrapped):
@@ -326,6 +310,8 @@ def cap_discrepancy_fixed_height(
     the half-open arcs [t, t + a) of a = arccos(s)/pi turns, for any s in
     (-1, 1); M, refine and directions are not used there.
     """
+    if refine < 0:
+        raise ValueError(f"refine must be >= 0, got {refine}")
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
     if ps.dim == 2:

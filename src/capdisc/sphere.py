@@ -4,7 +4,6 @@ deterministic uniform point generators."""
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ _SWEEP_BLOCK = 1 << 16
 
 GOLDEN_RATIO_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
 
-UNIFORM_METHODS = ("random", "fibonacci_s2", "kronecker_s1", "halton_inverse")
+UNIFORM_METHODS = ("random", "kronecker_s1", "halton_inverse")
 
 
 def _map_blocks(fn, jobs, threads):
@@ -54,16 +53,7 @@ def unit_vector(coords) -> np.ndarray:
         raise ValueError("a unit vector needs at least 2 coordinates")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite (nan or inf) coordinate in vector")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if math.isinf(norm):
-        # A finite vector whose norm overflows: scale by max |x| first.
-        v = v / np.max(np.abs(v))
-        norm = float(np.linalg.norm(v))
-    if norm < _DEGENERATE_NORM:
-        raise ValueError(f"degenerate vector with norm {norm:.3e}")
-    if abs(norm - 1.0) > _UNIT_TOL:
-        v = v / norm
+    _normalize_rows(v[None, :])
     v.setflags(write=False)
     return v
 
@@ -79,10 +69,6 @@ class Cap:
         object.__setattr__(self, "center", unit_vector(self.center))
         if not -1.0 < self.height < 1.0:
             raise ValueError(f"cap height must lie in (-1, 1), got {self.height}")
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
 
 
 def cap_measure(n: int, s: float) -> float:
@@ -116,6 +102,23 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _normalize_rows(x):
+    # Divides the finite rows of x by their norms in place, except the rows
+    # already unit to _UNIT_TOL; raises on a degenerate row.
+    with np.errstate(over="ignore"):
+        norms = _row_norms(x)
+    big = np.isinf(norms)
+    if np.any(big):
+        # Finite rows whose norm overflows: scale by max |x| first.
+        x[big] /= np.max(np.abs(x[big]), axis=1)[:, None]
+        norms[big] = _row_norms(x[big])
+    if np.any(norms < _DEGENERATE_NORM):
+        raise ValueError("degenerate (near-zero) vector")
+    fix = np.abs(norms - 1.0) > _UNIT_TOL
+    if np.any(fix):
+        x[fix] /= norms[fix, None]
+
+
 class PointSet:
     """An ordered finite prefix of a sequence of unit vectors.
 
@@ -142,19 +145,7 @@ class PointSet:
             raise ValueError("non-finite (nan or inf) coordinate in coords")
         # Row blocks keep the norm temporaries O(block) beside the array.
         for lo in range(0, arr.shape[0], _SWEEP_BLOCK):
-            x = arr[lo : lo + _SWEEP_BLOCK]
-            with np.errstate(over="ignore"):
-                norms = _row_norms(x)
-            big = np.isinf(norms)
-            if np.any(big):
-                # Finite rows whose norm overflows: scale by max |x| first.
-                x[big] /= np.max(np.abs(x[big]), axis=1)[:, None]
-                norms[big] = _row_norms(x[big])
-            if np.any(norms < _DEGENERATE_NORM):
-                raise ValueError("degenerate (near-zero) point in coords")
-            fix = np.abs(norms - 1.0) > _UNIT_TOL
-            if np.any(fix):
-                x[fix] /= norms[fix, None]
+            _normalize_rows(arr[lo : lo + _SWEEP_BLOCK])
         arr.setflags(write=False)
         self.coords = arr
         self.provenance = provenance
@@ -167,15 +158,8 @@ class PointSet:
     def size(self) -> int:
         return self.coords.shape[0]
 
-    def angles(self) -> np.ndarray:
-        """Canonical angles in [0, 2*pi) for a planar point set."""
-        return self._angles(turns=False)
-
     def turns(self) -> np.ndarray:
-        """Angles rescaled to [0, 1)."""
-        return self._angles(turns=True)
-
-    def _angles(self, turns):
+        """Canonical angles of a planar point set, rescaled to [0, 1)."""
         # Row blocks written into one result keep the temporaries O(block);
         # each element goes through the same ufuncs in the same order as in
         # one whole-array pass, so no bit depends on the blocks.
@@ -189,10 +173,9 @@ class PointSet:
             # + 0.0 turns the -0.0 of a point at (x > 0, -0.0) into 0.0.
             theta += 0.0
             np.add(theta, TWO_PI, out=theta, where=theta < 0.0)
-            theta[theta >= TWO_PI] = 0.0
-            if turns:
-                theta /= TWO_PI
-                theta[theta >= 1.0] = 0.0
+            # A tiny negative angle wraps to 2 pi; its turn 1.0 becomes 0.0 too.
+            theta /= TWO_PI
+            theta[theta >= 1.0] = 0.0
         return out
 
 
@@ -233,10 +216,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def generate_uniform(n: int, N: int, method: str, seed: int = 0) -> PointSet:
     """Reference point sets distributed uniformly on the (n-1)-sphere.
 
-    Methods: "random" (normalized Gaussian, seeded), "fibonacci_s2" (n=3
-    spiral lattice), "kronecker_s1" (n=2 golden-ratio rotation), and
-    "halton_inverse" (any n: coordinate-wise normal inverse-CDF of a
-    Halton point, normalized).  Deterministic given (method, seed, N).
+    Methods: "random" (normalized Gaussian, seeded), "kronecker_s1" (n=2
+    golden-ratio rotation), and "halton_inverse" (any n: coordinate-wise
+    normal inverse-CDF of a Halton point, normalized).  Deterministic given
+    (method, seed, N).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -244,18 +227,8 @@ def generate_uniform(n: int, N: int, method: str, seed: int = 0) -> PointSet:
         raise ValueError(f"need N >= 1 points, got {N}")
 
     if method == "random":
-        rng = np.random.default_rng(seed)
-        coords = rng.standard_normal((N, n))
-        norms = np.linalg.norm(coords, axis=1)
-        while np.any(norms < _DEGENERATE_NORM):  # pragma: no cover
-            bad = norms < _DEGENERATE_NORM
-            coords[bad] = rng.standard_normal((int(bad.sum()), n))
-            norms = np.linalg.norm(coords, axis=1)
-        coords /= norms[:, None]
-    elif method == "fibonacci_s2":
-        if n != 3:
-            raise ValueError("fibonacci_s2 requires n = 3")
-        coords = fibonacci_sphere(N)
+        coords = np.random.default_rng(seed).standard_normal((N, n))
+        coords /= np.linalg.norm(coords, axis=1)[:, None]
     elif method == "kronecker_s1":
         if n != 2:
             raise ValueError("kronecker_s1 requires n = 2")
@@ -288,7 +261,10 @@ def fibonacci_sphere(N: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-_HEADER_RE = re.compile(r"^# dim=(\d+) generator=(.+) seed=(-?\d+)$")
+def _parse_header(line):
+    # (dim, provenance) of a save_points header line without its newline, or None.
+    m = re.match(r"# dim=(\d+) generator=(.+) seed=(-?\d+)$", line)
+    return (int(m[1]), Provenance(generator=m[2], seed=int(m[3]))) if m else None
 
 
 def save_points(ps: PointSet, path) -> None:
@@ -442,10 +418,10 @@ def load_points(path, threads: int = 1) -> PointSet:
         return PointSet._adopt(*read)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        m = _HEADER_RE.match(header)
-        if not m:
+        parsed = _parse_header(header)
+        if parsed is None:
             raise ValueError(f"malformed point-set header: {header!r}")
-        dim, generator, seed = int(m.group(1)), m.group(2), int(m.group(3))
+        dim, provenance = parsed
         lines = (line for line in fh if not line.isspace())
         first = next(lines, None)
         if first is None:
@@ -455,7 +431,7 @@ def load_points(path, threads: int = 1) -> PointSet:
         )
     if coords.shape[1] != dim:
         raise ValueError(f"point rows do not match declared dim={dim}")
-    return PointSet(coords, Provenance(generator=generator, seed=seed))
+    return PointSet(coords, provenance)
 
 
 # Body bytes per read of the array reader.  The body is cut after the last
@@ -500,10 +476,10 @@ def _read_layout(path, threads=1):
         line = fh.readline()
         if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
             return None
-        m = _HEADER_RE.match(line[:-1].decode("ascii"))
-        if not m:
+        parsed = _parse_header(line[:-1].decode("ascii"))
+        if parsed is None:
             return None
-        dim, generator, seed = int(m.group(1)), m.group(2), int(m.group(3))
+        dim, provenance = parsed
         pieces = []  # (first byte, end byte, first row, rows)
         start = end = fh.tell()
         rows = 0
@@ -552,7 +528,7 @@ def _read_layout(path, threads=1):
 
     if not all(_map_blocks(parse, pieces, threads)):
         return None
-    return coords, Provenance(generator=generator, seed=seed)
+    return coords, provenance
 
 
 def _parse_fields(buf, cut, dim):

@@ -282,6 +282,46 @@ def test_verify_caps_without_directions_exits_two(capsys):
             assert "Traceback" not in err and "capdisc: error:" in err
 
 
+def assert_one_error_line(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("capdisc: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                                 ["--refine", "-3"]])
+def test_bad_tol_and_refine_exit_two(tmp_path, capsys, bad):
+    if bad[0] == "--refine":
+        pts = tmp_path / "z.csv"
+        assert main(["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "50",
+                     "--out", str(pts), "--no-timestamp"]) == 0
+        args = ["disc", "--in", str(pts), "--family", "cap-fixed", "--s", "0", "--M", "20"]
+    else:
+        args = ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5]
+    code = main(args + bad + ["--no-timestamp"])
+    assert_one_error_line(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, message):
+    # Each command's first large allocation, replaced by one that fails.
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    for name in ("generate_qud", "direction_grid", "load_points"):
+        monkeypatch.setattr(capdisc.cli, name, no_memory)
+    for args in (
+        ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "10",
+         "--out", str(tmp_path / "p.csv")],
+        ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", "0.3"],
+        ["disc", "--in", str(tmp_path / "p.csv"), "--family", "telescope", "--a", "0.3"],
+    ):
+        code = main(args + ["--no-timestamp"])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert captured.err == f"capdisc: error: {message or 'MemoryError'}\n"
+
+
 def test_cap_fixed_with_fewer_than_one_thread_exits_two(tmp_path, capsys):
     pts = tmp_path / "z.csv"
     assert main(["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "200",

@@ -23,7 +23,7 @@ from capdisc import (
     cap_discrepancy_fixed_height,
     cap_measure,
     circle_discrepancy,
-    empirical_cap_fraction,
+    fibonacci_sphere,
     generate_qud,
     generate_uniform,
     telescoping_check,
@@ -33,6 +33,15 @@ from capdisc.discrepancy import _arc_ends, _cap_counts, _tangent_basis, _tile_ro
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
 EPS = 1e-9  # perturbation used by the brute-force evaluation
+
+
+def fibonacci_points(N):
+    return PointSet(fibonacci_sphere(N), Provenance(f"fibonacci(N={N})", 0))
+
+
+def cap_fraction(ps, cap):
+    """count/N of the closed cap, counted by the cap scan's kernel."""
+    return int(_cap_counts(ps.coords, cap.center[None, :], cap.height)[0]) / ps.size
 
 
 def pointset_from_turns(psi, tag="turns"):
@@ -166,14 +175,14 @@ def brute_circle_extreme(psi):
 def test_empirical_cap_fraction_trivial():
     e = np.array([0.0, 0.0, 1.0])
     ps = PointSet(np.tile(e, (5, 1)), Provenance("copies", 0))
-    assert empirical_cap_fraction(ps, Cap(e, 0.5)) == 1.0
+    assert cap_fraction(ps, Cap(e, 0.5)) == 1.0
     pair = PointSet(np.array([e, -e]), Provenance("antipodal", 0))
-    assert empirical_cap_fraction(pair, Cap(e, 0.0)) == 0.5
+    assert cap_fraction(pair, Cap(e, 0.0)) == 0.5
     with pytest.raises(ValueError):
-        empirical_cap_fraction(pair, Cap(np.array([1.0, 0.0]), 0.0))
+        cap_fraction(pair, Cap(np.array([1.0, 0.0]), 0.0))
     # a point on the boundary circle of a closed cap counts as inside
     boundary = PointSet(np.array([[0.0, 1.0]]), Provenance("boundary", 0))
-    assert empirical_cap_fraction(boundary, Cap(np.array([1.0, 0.0]), 0.0)) == 1.0
+    assert cap_fraction(boundary, Cap(np.array([1.0, 0.0]), 0.0)) == 1.0
     with pytest.raises(ValueError):
         Cap(e, 1.0)
 
@@ -190,8 +199,8 @@ def test_empirical_cap_fraction_counts_points_on_the_boundary(s):
         coords.append(np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(7, z)])[:copies])
     ps = PointSet(np.vstack(coords), Provenance("boundary", 0))
     assert np.array_equal(ps.coords[:7, 2], np.full(7, s))  # kept bit for bit
-    assert empirical_cap_fraction(ps, Cap(e, s)) == 10 / 15
-    assert empirical_cap_fraction(ps, Cap(-e, -s)) == 12 / 15
+    assert cap_fraction(ps, Cap(e, s)) == 10 / 15
+    assert cap_fraction(ps, Cap(-e, -s)) == 12 / 15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -201,7 +210,7 @@ def test_empirical_cap_fraction_matches_the_direct_count(n):
     for _ in range(20):
         cap = Cap(rng.standard_normal(n), float(rng.uniform(-0.9, 0.9)))
         direct = int(np.count_nonzero(ps.coords @ cap.center >= cap.height))
-        assert empirical_cap_fraction(ps, cap) == direct / ps.size
+        assert cap_fraction(ps, cap) == direct / ps.size
 
 
 def test_half_circle_arcs_on_square_lattice():
@@ -212,7 +221,7 @@ def test_half_circle_arcs_on_square_lattice():
     for _ in range(25):
         alpha = float(rng.uniform(0.01, 0.24))
         center = np.array([math.cos(TWO_PI * alpha), math.sin(TWO_PI * alpha)])
-        assert empirical_cap_fraction(ps, Cap(center, 0.0)) == 0.5
+        assert cap_fraction(ps, Cap(center, 0.0)) == 0.5
 
 
 def test_arc_sweep_lattice_exact_zero():
@@ -441,7 +450,7 @@ def test_arc_sweep_validation():
         arc_discrepancy_fixed_length(ps, 0.5)
     with pytest.raises(ValueError):
         arc_discrepancy_fixed_length(ps, 0.0)
-    sphere_ps = generate_uniform(3, 10, "fibonacci_s2")
+    sphere_ps = fibonacci_points(10)
     with pytest.raises(ValueError):
         arc_discrepancy_fixed_length(sphere_ps, 0.25)
 
@@ -504,8 +513,8 @@ def test_kronecker_circle_discrepancy():
 
 
 def whole_array_angles(coords):
-    """angles() and turns() as one whole-array pass each: the element
-    operations, in order, that the blocked methods must reproduce."""
+    """The angles and turns as one whole-array pass each: the bits that the
+    blocked turns() must reproduce."""
     theta = np.arctan2(coords[:, 1], coords[:, 0]) + 0.0
     theta = np.where(theta < 0.0, theta + TWO_PI, theta)
     theta = np.where(theta >= TWO_PI, 0.0, theta)
@@ -575,8 +584,7 @@ def test_edge_points_take_the_wraps():
 @pytest.mark.parametrize("n", [1, 2, 65_535, 65_536, 65_537, 200_003])
 def test_blocked_angles_and_circle_bit_identical_to_whole_arrays(n):
     ps = edge_case_points(n, n)
-    theta, psi = whole_array_angles(ps.coords)
-    assert np.array_equal(bits(ps.angles()), bits(theta))
+    _, psi = whole_array_angles(ps.coords)
     assert np.array_equal(bits(ps.turns()), bits(psi))
     assert_circle_bits(ps, psi)
 
@@ -587,8 +595,7 @@ def test_blocked_angles_and_circle_bit_identical_at_small_blocks(monkeypatch):
     monkeypatch.setattr(capdisc.discrepancy, "_SWEEP_BLOCK", block)
     for n in (block - 1, block, block + 1, 7 * block + 3, 300 * block):
         ps = edge_case_points(n, n)
-        theta, psi = whole_array_angles(ps.coords)
-        assert np.array_equal(bits(ps.angles()), bits(theta)), n
+        _, psi = whole_array_angles(ps.coords)
         assert np.array_equal(bits(ps.turns()), bits(psi)), n
         assert_circle_bits(ps, psi)
 
@@ -642,15 +649,13 @@ def test_cap_search_single_point():
 
 
 def test_cap_search_uniform_fibonacci():
-    ps = generate_uniform(3, 10_000, "fibonacci_s2")
+    ps = fibonacci_points(10_000)
     rep = cap_discrepancy_fixed_height(ps, S5, M=2000, refine=10)
     assert rep.value < 0.01
 
 
 def test_cap_search_monotone_in_directions():
-    ps = generate_uniform(3, 2000, "fibonacci_s2")
-    from capdisc.sphere import fibonacci_sphere
-
+    ps = fibonacci_points(2000)
     base = fibonacci_sphere(64)
     extra = np.vstack([base, fibonacci_sphere(37)])
     small = cap_discrepancy_fixed_height(ps, 0.2, M=64, refine=0, directions=base)
@@ -669,7 +674,7 @@ def test_cap_search_thread_count_independent(monkeypatch):
         return count(coords, dirs, s, threads)
 
     monkeypatch.setattr(capdisc.discrepancy, "_cap_counts", recording_count)
-    ps = generate_uniform(3, 40_000, "fibonacci_s2")
+    ps = fibonacci_points(40_000)
     a = cap_discrepancy_fixed_height(ps, 0.3, M=700, refine=6, threads=1)
     for threads in (2, 4):
         threads_seen.clear()
@@ -689,7 +694,7 @@ def test_cap_search_zonal_counterexample_contrast():
     assert at_zero.value > 0.04
     witness = np.array(at_zero.witness["center"])
     assert abs(witness @ d.axis) > 0.9  # sup sits at the poles
-    uniform = generate_uniform(3, 100_000, "fibonacci_s2")
+    uniform = fibonacci_points(100_000)
     assert cap_discrepancy_fixed_height(uniform, S5, M=2000, refine=20).value < 0.01
     assert cap_discrepancy_fixed_height(uniform, 0.0, M=2000, refine=20).value < 0.01
 
@@ -721,7 +726,7 @@ def test_cap_search_dim2_rejects_bad_height(s):
 
 
 def test_cap_search_validation():
-    ps = generate_uniform(3, 100, "fibonacci_s2")
+    ps = fibonacci_points(100)
     with pytest.raises(ValueError):
         cap_discrepancy_fixed_height(ps, 1.0, M=10)
     with pytest.raises(ValueError):
@@ -729,6 +734,9 @@ def test_cap_search_validation():
     for threads in (0, -2):
         with pytest.raises(ValueError):
             cap_discrepancy_fixed_height(ps, 0.5, M=10, threads=threads)
+    for on in (ps, pointset_from_turns([0.1, 0.4])):
+        with pytest.raises(ValueError, match="refine must be >= 0"):
+            cap_discrepancy_fixed_height(on, 0.5, M=10, refine=-1)
 
 
 def test_cap_search_rejects_bad_directions():
@@ -968,4 +976,4 @@ def test_telescoping_validation():
     with pytest.raises(ValueError):
         telescoping_check(ps, 0.5, 0)
     with pytest.raises(ValueError):
-        telescoping_check(generate_uniform(3, 5, "fibonacci_s2"), 0.5, 2)
+        telescoping_check(fibonacci_points(5), 0.5, 2)

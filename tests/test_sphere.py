@@ -24,7 +24,7 @@ from capdisc import (
     arc_discrepancy_fixed_length,
     cap_measure,
     circle_discrepancy,
-    empirical_cap_fraction,
+    fibonacci_sphere,
     generate_uniform,
     load_points,
     radical_inverse,
@@ -32,6 +32,7 @@ from capdisc import (
     unit_vector,
 )
 from capdisc.cli import main
+from capdisc.discrepancy import _cap_counts
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -95,6 +96,21 @@ def test_unit_vector_rescales_a_norm_that_overflows():
     assert np.array_equal(unit_vector(v), v / np.linalg.norm(v))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_unit_vector_is_the_point_set_row_bit_for_bit(n):
+    # One normalizer: a vector normalizes to the bits of its PointSet row,
+    # whether random and non-unit, already unit (kept) or overflowing.
+    rng = np.random.default_rng(n)
+    raw = rng.standard_normal((500, n)) * rng.uniform(1e-3, 1e3, (500, 1))
+    unit = PointSet(raw, Provenance("unit", 0)).coords
+    big = np.zeros(n)
+    big[:2] = 1e308
+    for v in [*raw, *unit, big]:
+        assert same_bits(unit_vector(v), PointSet([v], Provenance("row", 0)).coords[0]), v
+    for u in unit:
+        assert same_bits(unit_vector(u), u)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_unit_vector_rejects_non_finite(bad):
     for coords in ([bad, 0.0, 1.0], [0.0, bad], [1.0, 2.0, bad]):
@@ -142,13 +158,13 @@ def test_cap_measure_symmetry_and_monotonicity():
 
 def test_kronecker_angles():
     ps = generate_uniform(2, 4, "kronecker_s1")
-    expected = [2.0 * math.pi * ((j * GOLDEN) % 1.0) for j in range(4)]
-    assert np.allclose(ps.angles(), expected, atol=1e-12)
-    assert ps.angles()[0] == 0.0
+    expected = [(j * GOLDEN) % 1.0 for j in range(4)]
+    assert np.allclose(ps.turns(), expected, atol=1e-12)
+    assert ps.turns()[0] == 0.0
 
 
 def test_fibonacci_single_point():
-    ps = generate_uniform(3, 1, "fibonacci_s2")
+    ps = PointSet(fibonacci_sphere(1), Provenance("fibonacci", 0))
     assert ps.size == 1 and ps.dim == 3
     assert abs(np.linalg.norm(ps.coords[0]) - 1.0) <= 1e-12
 
@@ -165,13 +181,13 @@ def test_kronecker_fixed_arc_discrepancy():
 
 def test_generate_uniform_validation_and_determinism():
     with pytest.raises(ValueError):
-        generate_uniform(2, 10, "fibonacci_s2")
+        generate_uniform(13, 10, "halton_inverse")
     with pytest.raises(ValueError):
         generate_uniform(3, 10, "kronecker_s1")
     with pytest.raises(ValueError):
         generate_uniform(3, 10, "bogus")
     with pytest.raises(ValueError):
-        generate_uniform(3, 0, "fibonacci_s2")
+        generate_uniform(3, 0, "halton_inverse")
     a = generate_uniform(4, 64, "halton_inverse", seed=5)
     b = generate_uniform(4, 64, "halton_inverse", seed=5)
     assert np.array_equal(a.coords, b.coords)
@@ -242,9 +258,8 @@ def test_rotation_invariance_of_cap_counts():
         center = rng.standard_normal(n)
         cap = Cap(center, 0.3)
         rotated_cap = Cap(rho @ cap.center, 0.3)
-        assert empirical_cap_fraction(rotate(ps, rho), rotated_cap) == empirical_cap_fraction(
-            ps, cap
-        )
+        rotated = _cap_counts(rotate(ps, rho).coords, rotated_cap.center[None, :], 0.3)
+        assert np.array_equal(rotated, _cap_counts(ps.coords, cap.center[None, :], 0.3))
 
 
 def test_pointset_validation():
@@ -280,11 +295,11 @@ def test_pointset_rescales_rows_whose_norm_overflows(tmp_path):
 
 
 def test_csv_round_trip(tmp_path, threads=1):
-    ps = generate_uniform(3, 37, "fibonacci_s2", seed=9)
+    ps = PointSet(fibonacci_sphere(37), Provenance("fibonacci(N=37)", 9))
     path = tmp_path / "pts.csv"
     save_points(ps, path)
     header = path.read_text().splitlines()[0]
-    assert header == "# dim=3 generator=uniform-fibonacci_s2(n=3,N=37) seed=9"
+    assert header == "# dim=3 generator=fibonacci(N=37) seed=9"
     again = load_points(path, threads=threads)
     assert np.array_equal(again.coords, ps.coords)
     assert again.provenance == ps.provenance
