@@ -143,14 +143,14 @@ def _cmd_eigenvalue(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    ps = load_points(args.infile, threads=args.threads)
     if args.family in ("arc-fixed", "telescope") and args.a is None:
         raise ValueError(f"family {args.family} needs --a")
+    if args.family == "cap-fixed" and args.s is None:
+        raise ValueError("family cap-fixed needs --s")
+    ps = load_points(args.infile, threads=args.threads)
     if args.family == "arc-fixed":
         res = arc_discrepancy_fixed_length(ps, args.a, threads=args.threads)
     elif args.family == "cap-fixed":
-        if args.s is None:
-            raise ValueError("family cap-fixed needs --s")
         res = cap_discrepancy_fixed_height(ps, args.s, args.M, refine=args.refine, threads=args.threads)
     elif args.family == "circle":
         res = circle_discrepancy(ps)

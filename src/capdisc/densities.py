@@ -121,6 +121,34 @@ class PlanarRationalDensity:
         osc += th / TWO_PI
         return osc
 
+    @property
+    def _cdf_error(self) -> float:
+        """E >= |fl(cdf(th)) - cdf(th)| on [0, 2*pi], cdf with exact pi; u = 2^-53.
+
+        fl(cdf) = th / TWO_PI + (1 - cos(2q th)) / (8 pi q), term by term:
+        th / TWO_PI <= 1 carries TWO_PI's relative error 0.35u and its rounding
+        u/2; rounding 2q th (<= 4 pi q) moves the cosine by 4 pi q u, which the
+        division by 8 pi q turns into u/2; a cosine within k ulp, 1 - cos and
+        the constant 8 pi q add (k + 2) u / (8 pi) <= 0.2u for k <= 3; the
+        quotient and the final sum (<= 1.08) round by at most 0.06u and u.
+        That is about 2.6u = 3e-16; E = 4e-15 keeps a factor above 10.
+        """
+        return 4e-15
+
+    # generate_qud transports a 1-D driver to the angle theta, with slope
+    # density / _mass; the density's minimum is 1/2, where the sine is -1.
+    _bracket, _mass, _minimum, _point_dim = (0.0, TWO_PI), TWO_PI, 0.5, 2
+
+    def _check_generation(self, driver):
+        if driver.ndim != 1:
+            raise ValueError("planar generation needs a 1-D driver")
+
+    def _place(self, theta, x, out):
+        out[:, 0], out[:, 1] = np.cos(theta), np.sin(theta)
+
+    def _describe(self, driver, N):
+        return f"planar(p={self.p},q={self.q},driver={driver.kind},N={N})"
+
 
 @dataclass(frozen=True)
 class ZonalDensity:
@@ -143,9 +171,76 @@ class ZonalDensity:
             raise ValueError("axis dimension does not match dim")
         object.__setattr__(self, "axis", axis)
 
-    def density_at_t(self, t):
+    def density(self, t):
         """Density as a function of t = axis . v."""
         return 1.0 + self.coefficient * legendre_eval(self.dim, self.degree, t)
+
+    def cdf(self, t):
+        """CDF of t = axis . v on S^2 (dim 3), elementwise over t in [-1, 1]."""
+        if self.dim != 3:
+            raise ValueError("the array CDF is for dim 3; use marginal_cdf")
+        # The S^2 weight is constant: int_{-1}^t P_k = (P_{k+1} - P_{k-1}) / (2k+1),
+        # and one recurrence run passes through P_{k-1} on its way to P_{k+1}.
+        t = np.asarray(t, dtype=float)
+        k, c = self.degree, self.coefficient
+        for j, p in enumerate(_legendre_run(3, k + 1, t)):
+            if j == k - 1:
+                lower = p
+        poly = (p - lower) / (2 * k + 1)
+        return 0.5 * (t + 1.0) + 0.5 * c * poly
+
+    @property
+    def _cdf_error(self) -> float:
+        """E >= |fl(cdf(t)) - cdf(t)| on [-1, 1], cdf with exact polynomials; u = 2^-53.
+
+        fl(cdf) = (t + 1)/2 + c (P_{k+1} - P_{k-1}) / (2 (2k + 1)): one step
+        of the recurrence (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1} (|P_j| <=
+        1, five roundings) errs by at most 7u.  An error at P_{m+1} reaches
+        P_n through the recurrence's own solution with P_m = 0 and P_{m+1} =
+        1, which is largest at t = +-1 (checked on [-1, 1] for every m < n
+        <= MAX_DEGREE), where it is (m + 1)(H_n - H_m), H the harmonic
+        numbers.  Their sum over m stays below n^2 / 3, so the recurrence
+        errs by at most 7u n^2 / 3 at degree n.  With the two degrees k +- 1
+        divided by 2k + 1 and the few roundings of the outer expression
+        (below 3u) this is u (7c (k^2 + 1) / (3 (2k + 1)) + 3); E is ten
+        times that.
+        """
+        k, c = self.degree, self.coefficient
+        return 10.0 * 2.0**-53 * (7.0 * c * (k * k + 1) / (3.0 * (2 * k + 1)) + 3.0)
+
+    # generate_qud transports the first coordinate of a 2-D driver to t; the
+    # second is the azimuth around the axis.  The slope is density / _mass,
+    # and _mass = weight_mass(3) = 2 - 2^-52, not 2: Newton's last bits use it.
+    _bracket, _point_dim = (-1.0, 1.0), 3
+
+    @property
+    def _minimum(self):
+        # |P_k| <= 1 on [-1, 1] and P_k(-1) = -1 for odd k.
+        return 1.0 - self.coefficient
+
+    @property
+    def _mass(self):
+        return weight_mass(3)
+
+    def _check_generation(self, driver):
+        if self.dim != 3:
+            raise ValueError("zonal generation is restricted to dim 3")
+        if driver.ndim != 2:
+            raise ValueError("zonal generation needs a 2-D driver")
+
+    def _place(self, t, xy, out):
+        e, b1, b2 = _orthonormal_frame(self.axis)
+        phi = TWO_PI * xy[:, 1]
+        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        # t e + r cos(phi) b1 + r sin(phi) b2, summed in that order.
+        np.multiply(t[:, None], e, out=out)
+        out += (r * np.cos(phi))[:, None] * b1
+        out += (r * np.sin(phi))[:, None] * b2
+
+    def _describe(self, driver, N):
+        axis = ",".join(format(a, ".17g") for a in self.axis)
+        return (f"zonal(n={self.dim},k={self.degree},c={self.coefficient!r},"
+                f"axis={axis},driver={driver.kind},N={N})")
 
 
 def planar_arc_probability(d: PlanarRationalDensity, theta0: float, length: float) -> float:
@@ -194,30 +289,10 @@ def zonal_cap_probability(d: ZonalDensity, caps, s: float | None = None):
 
 
 def positivity_margin(d) -> float:
-    """Minimum of the density, in closed form.
-
-    A zonal density 1 + c * P_k(t) has its minimum 1 - c at t = -1: |P_k|
-    <= 1 on [-1, 1] and P_k(-1) = -1 for odd k.  The planar density
-    1 + sin(2*q*theta)/2 has its minimum 1/2 where the sine is -1.
-    """
-    if isinstance(d, ZonalDensity):
-        return 1.0 - d.coefficient
-    if isinstance(d, PlanarRationalDensity):
-        return 0.5
-    raise TypeError(f"unsupported density type {type(d).__name__}")
-
-
-def _zonal_cdf_dim3(d: ZonalDensity, t):
-    # For S^2 the weight is constant, so the antiderivative is polynomial:
-    # int_{-1}^t P_k = (P_{k+1} - P_{k-1}) / (2k+1), vanishing at t = -1.
-    # One run of the recurrence passes through P_{k-1} on its way to P_{k+1}.
-    t = np.asarray(t, dtype=float)
-    k, c = d.degree, d.coefficient
-    for j, p in enumerate(_legendre_run(3, k + 1, t)):
-        if j == k - 1:
-            lower = p
-    poly = (p - lower) / (2 * k + 1)
-    return 0.5 * (t + 1.0) + 0.5 * c * poly
+    """Minimum of the density, in closed form: 1/2 planar, 1 - c zonal."""
+    if not isinstance(d, (PlanarRationalDensity, ZonalDensity)):
+        raise TypeError(f"unsupported density type {type(d).__name__}")
+    return d._minimum
 
 
 def marginal_cdf(d: ZonalDensity, t: float) -> float:
@@ -233,42 +308,11 @@ def marginal_cdf(d: ZonalDensity, t: float) -> float:
     if t == 1.0:
         return 1.0
     if d.dim == 3:
-        return float(_zonal_cdf_dim3(d, t))
+        return float(d.cdf(t))
     # The complement of G is the cap probability of the cap at height t
     # centered on the axis.
     lam = funk_hecke_lambda(d.dim, d.degree, t)
     return 1.0 - cap_measure(d.dim, t) - d.coefficient * lam
-
-
-def _cdf_error_bound(d) -> float:
-    """E with |fl(G(x)) - G(x)| <= E for the transport CDF G of `d` on its
-    whole range, G taken with exact pi and exact polynomials; u = 2^-53.
-
-    Planar, fl(G) = th / TWO_PI + (1 - cos(2q th)) / (8 pi q), term by term:
-    th / TWO_PI <= 1 carries TWO_PI's relative error 0.35u and its rounding
-    u/2; rounding 2q th (<= 4 pi q) moves the cosine by 4 pi q u, which the
-    division by 8 pi q turns into u/2; a cosine within k ulp, 1 - cos and
-    the constant 8 pi q add (k + 2) u / (8 pi) <= 0.2u for k <= 3; the
-    quotient and the final sum (<= 1.08) round by at most 0.06u and u.
-    That is about 2.6u = 3e-16; E = 4e-15 keeps a factor above 10.
-
-    Zonal on S^2, fl(G) = (t + 1)/2 + c (P_{k+1} - P_{k-1}) / (2 (2k + 1)):
-    one step of the recurrence (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}
-    (|P_j| <= 1, five roundings) errs by at most 7u.  An error at P_{m+1}
-    reaches P_n through the recurrence's own solution with P_m = 0 and
-    P_{m+1} = 1, which is largest at t = +-1 (checked on [-1, 1] for
-    every m < n <= MAX_DEGREE), where it is (m + 1)(H_n - H_m), H the
-    harmonic numbers.  Their sum over m stays below n^2 / 3, so the
-    recurrence errs by at most 7u n^2 / 3 at degree n.  With the two
-    degrees k +- 1 divided by 2k + 1 and the few roundings of the outer
-    expression (below 3u) this is u (7c (k^2 + 1) / (3 (2k + 1)) + 3);
-    E is ten times that.
-    """
-    u = 2.0**-53
-    if isinstance(d, PlanarRationalDensity):
-        return 4e-15
-    k, c = d.degree, d.coefficient
-    return 10.0 * u * (7.0 * c * (k * k + 1) / (3.0 * (2 * k + 1)) + 3.0)
 
 
 def _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err):
@@ -402,75 +446,32 @@ def _orthonormal_frame(axis):
 def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     """Sequence uniformly distributed for the density, by inverse-CDF transport.
 
-    Planar densities transport a 1-D driver through the circle CDF.  Zonal
-    densities (dim 3 only) transport the first Halton coordinate through the
-    marginal CDF of t = axis . v and use the second as the azimuth around
-    the axis.  Bitwise deterministic for fixed (density, N, driver).
+    The density's CDF carries the first driver coordinate to the angle
+    (planar, 1-D driver) or to t = axis . v (zonal, dim 3 only, 2-D driver
+    whose second coordinate is the azimuth around the axis).  Bitwise
+    deterministic for fixed (density, N, driver).
 
     Points are made in fixed blocks of 2^16: each block draws its own
     driver values and transports them into its rows of the (N, n) result,
-    so temporaries are O(block) beside it.  `threads` (>= 1) transport blocks in parallel; the
-    block edges, and so every output bit, do not depend on it.
+    so temporaries are O(block) beside it; `threads` (>= 1) transport
+    blocks in parallel, and no output bit depends on it.
     """
     if N < 1:
         raise ValueError(f"need N >= 1 points, got {N}")
     driver._check_count(N)
+    margin = positivity_margin(d)  # the TypeError for other densities
+    d._check_generation(driver)
+    lo, hi = d._bracket
+    # Once, on the calling thread: the zonal mass imports scipy.
+    mass = d._mass
+    floor, err = margin / mass, d._cdf_error
+    coords = np.empty((N, d._point_dim))
 
-    if isinstance(d, PlanarRationalDensity):
-        if driver.ndim != 1:
-            raise ValueError("planar generation needs a 1-D driver")
-
-        floor, err = positivity_margin(d) / TWO_PI, _cdf_error_bound(d)
-
-        def transport(x, out):
-            theta = _invert_monotone_vec(
-                d.cdf, lambda th: d.density(th) / TWO_PI, x, 0.0, TWO_PI, floor, err
-            )
-            out[:, 0] = np.cos(theta)
-            out[:, 1] = np.sin(theta)
-
-        dim = 2
-        desc = f"planar(p={d.p},q={d.q},driver={driver.kind},N={N})"
-    elif isinstance(d, ZonalDensity):
-        if d.dim != 3:
-            raise ValueError("zonal generation is restricted to dim 3")
-        if driver.ndim != 2:
-            raise ValueError("zonal generation needs a 2-D driver")
-        e, b1, b2 = _orthonormal_frame(d.axis)
-        # Once, on the calling thread: its first call imports scipy.
-        mass = weight_mass(3)
-        floor, err = positivity_margin(d) / mass, _cdf_error_bound(d)
-
-        def transport(xy, out):
-            t = _invert_monotone_vec(
-                lambda tt: _zonal_cdf_dim3(d, tt),
-                lambda tt: d.density_at_t(tt) / mass,
-                xy[:, 0],
-                -1.0,
-                1.0,
-                floor,
-                err,
-            )
-            phi = TWO_PI * xy[:, 1]
-            r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-            # t e + r cos(phi) b1 + r sin(phi) b2, summed in that order.
-            np.multiply(t[:, None], e, out=out)
-            out += (r * np.cos(phi))[:, None] * b1
-            out += (r * np.sin(phi))[:, None] * b2
-
-        dim = 3
-        desc = (
-            f"zonal(n={d.dim},k={d.degree},c={d.coefficient!r},"
-            f"axis={','.join(format(a, '.17g') for a in d.axis)},driver={driver.kind},N={N})"
-        )
-    else:
-        raise TypeError(f"unsupported density type {type(d).__name__}")
-
-    coords = np.empty((N, dim))
-
-    def block(lo):
-        x = Driver(driver.kind, driver.offset + lo).values(min(_SWEEP_BLOCK, N - lo))
-        transport(x, coords[lo : lo + len(x)])
+    def block(start):
+        x = Driver(driver.kind, driver.offset + start).values(min(_SWEEP_BLOCK, N - start))
+        y = x if x.ndim == 1 else x[:, 0]
+        t = _invert_monotone_vec(d.cdf, lambda v: d.density(v) / mass, y, lo, hi, floor, err)
+        d._place(t, x, coords[start : start + len(x)])
 
     _map_blocks(block, range(0, N, _SWEEP_BLOCK), threads)
-    return PointSet._adopt(coords, Provenance(generator=desc, seed=driver.offset))
+    return PointSet._adopt(coords, Provenance(generator=d._describe(driver, N), seed=driver.offset))

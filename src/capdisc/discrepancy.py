@@ -22,6 +22,7 @@ from .sphere import (
     PointSet,
     Provenance,
     _map_blocks,
+    _row_norms,
     cap_measure,
     fibonacci_sphere,
     generate_uniform,
@@ -348,7 +349,7 @@ def cap_discrepancy_fixed_height(
         tangents = _tangent_basis(u)
         signed = np.stack([tangents, -tangents], axis=1).reshape(-1, n)
         probes = np.cos(step) * u + np.sin(step) * signed
-        probes /= np.linalg.norm(probes, axis=1)[:, None]
+        probes /= _row_norms(probes)[:, None]
         counts = _cap_counts(coords, probes, s, threads)
         devs = np.abs(counts / ps.size - target)
         i = int(np.argmax(devs))

@@ -228,7 +228,6 @@ def generate_uniform(n: int, N: int, method: str, seed: int = 0) -> PointSet:
 
     if method == "random":
         coords = np.random.default_rng(seed).standard_normal((N, n))
-        coords /= np.linalg.norm(coords, axis=1)[:, None]
     elif method == "kronecker_s1":
         if n != 2:
             raise ValueError("kronecker_s1 requires n = 2")
@@ -244,8 +243,7 @@ def generate_uniform(n: int, N: int, method: str, seed: int = 0) -> PointSet:
 
         # Index 0 maps to the excluded quantile 0; start at 1 + seed.
         idx = np.arange(1 + seed, 1 + seed + N)
-        gauss = np.column_stack([ndtri(radical_inverse(p, idx)) for p in _PRIMES[:n]])
-        coords = gauss / np.linalg.norm(gauss, axis=1)[:, None]
+        coords = np.column_stack([ndtri(radical_inverse(p, idx)) for p in _PRIMES[:n]])
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {UNIFORM_METHODS}")
 

@@ -322,6 +322,21 @@ def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, message):
         assert captured.err == f"capdisc: error: {message or 'MemoryError'}\n"
 
 
+@pytest.mark.parametrize("family, needs", [("arc-fixed", "--a"), ("telescope", "--a"),
+                                           ("cap-fixed", "--s")])
+def test_disc_checks_the_family_flags_before_it_reads_the_points(capsys, monkeypatch,
+                                                                family, needs):
+    # A missing flag must end the run before a large point file is read.
+    def no_read(*args, **kwargs):
+        raise AssertionError("load_points was called")
+
+    monkeypatch.setattr(capdisc.cli, "load_points", no_read)
+    code = main(["disc", "--in", "points.csv", "--family", family, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert captured.err == f"capdisc: error: family {family} needs {needs}\n"
+
+
 def test_cap_fixed_with_fewer_than_one_thread_exits_two(tmp_path, capsys):
     pts = tmp_path / "z.csv"
     assert main(["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "200",

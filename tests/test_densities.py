@@ -28,12 +28,7 @@ from capdisc import (
     zonal_cap_probability,
 )
 from capdisc.cap_transform import weight_mass
-from capdisc.densities import (
-    _cdf_error_bound,
-    _invert_monotone_vec,
-    _orthonormal_frame,
-    _zonal_cdf_dim3,
-)
+from capdisc.densities import _invert_monotone_vec, _orthonormal_frame
 from capdisc.orthopoly import legendre_eval
 
 TWO_PI = 2.0 * math.pi
@@ -137,12 +132,12 @@ def test_zonal_density_validation():
 def test_zonal_density_normalization():
     d = zonal_density()
     mass, _ = integrate.quad(
-        lambda th: d.density_at_t(math.cos(th)) * math.sin(th), 0.0, math.pi
+        lambda th: d.density(math.cos(th)) * math.sin(th), 0.0, math.pi
     )
     assert abs(mass / 2.0 - 1.0) <= 1e-12
     d4 = zonal_density(n=4, axis=(0.0, 0.0, 0.0, 1.0))
     mass4, _ = integrate.quad(
-        lambda th: d4.density_at_t(math.cos(th)) * math.sin(th) ** 2, 0.0, math.pi
+        lambda th: d4.density(math.cos(th)) * math.sin(th) ** 2, 0.0, math.pi
     )
     assert abs(mass4 / (math.pi / 2.0) - 1.0) <= 1e-12
 
@@ -204,7 +199,7 @@ def test_zonal_cap_probability_array_of_centers():
 def test_zonal_cap_probability_direct_quadrature():
     # hemisphere about the axis: integrate the marginal over [0, 1]
     d = zonal_density(c=0.8)
-    ref, _ = integrate.quad(lambda t: 0.5 * d.density_at_t(t), 0.0, 1.0)
+    ref, _ = integrate.quad(lambda t: 0.5 * d.density(t), 0.0, 1.0)
     assert zonal_cap_probability(d, Cap(d.axis, 0.0)) == pytest.approx(ref, abs=1e-12)
 
 
@@ -222,7 +217,7 @@ def test_marginal_cdf_dim3():
     assert marginal_cdf(d, 1.0) == 1.0
     assert marginal_cdf(d, -1.0) == 0.0
     assert marginal_cdf(d, 0.0) == pytest.approx(0.55, abs=1e-14)
-    ref, _ = integrate.quad(lambda x: 0.5 * d.density_at_t(x), -1.0, 0.0)
+    ref, _ = integrate.quad(lambda x: 0.5 * d.density(x), -1.0, 0.0)
     assert marginal_cdf(d, 0.0) == pytest.approx(ref, abs=1e-12)
     grid = np.linspace(-1.0, 1.0, 101)
     vals = [marginal_cdf(d, float(t)) for t in grid]
@@ -245,15 +240,15 @@ def test_zonal_cdf_one_recurrence_run_matches_two_calls(k, c):
     # Both ends, points just past them within the domain slack, and a grid.
     t = np.concatenate([[-1.0 - 1e-13, -1.0, -0.0, 0.0, 1.0, 1.0 + 1e-13],
                         np.random.default_rng(k).uniform(-1.0, 1.0, 1001)])
-    got, want = _zonal_cdf_dim3(d, t), two_calls(t)
+    got, want = d.cdf(t), two_calls(t)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     for x in (-0.37, 0.9999, 1.0):
-        scalar = _zonal_cdf_dim3(d, x)
+        scalar = d.cdf(x)
         assert np.ndim(scalar) == 0
         assert np.float64(scalar).view(np.int64) == np.float64(two_calls(x)).view(np.int64)
     with pytest.raises(ValueError, match="outside"):
-        _zonal_cdf_dim3(d, np.array([0.5, 1.5]))
+        d.cdf(np.array([0.5, 1.5]))
 
 
 def test_marginal_cdf_uniform_limit():
@@ -267,13 +262,15 @@ def test_marginal_cdf_general_dim():
     mass = math.pi / 2.0
     for t in (-0.8, -0.1, 0.4, 0.9):
         ref, _ = integrate.quad(
-            lambda th: d4.density_at_t(math.cos(th)) * math.sin(th) ** 2,
+            lambda th: d4.density(math.cos(th)) * math.sin(th) ** 2,
             math.acos(t),
             math.pi,
         )
         assert marginal_cdf(d4, t) == pytest.approx(ref / mass, abs=1e-10)
     assert marginal_cdf(d4, -1.0) == 0.0
     assert marginal_cdf(d4, 1.0) == 1.0
+    with pytest.raises(ValueError, match="dim 3"):
+        d4.cdf(0.4)  # the array CDF is the S^2 closed form only
 
 
 def test_inverse_cdf():
@@ -282,9 +279,8 @@ def test_inverse_cdf():
     x = _invert_monotone_vec(uniform, flat, [0.0, 0.25], 0.0, TWO_PI, 1.0 / TWO_PI, 4e-15)
     assert x == pytest.approx([0.0, math.pi / 2.0], abs=1e-10)
     d = zonal_density(c=0.8)
-    g = lambda t: _zonal_cdf_dim3(d, t)
-    x = _invert_monotone_vec(g, lambda t: 0.5 * d.density_at_t(t), [0.55], -1.0, 1.0,
-                             0.5 * positivity_margin(d), _cdf_error_bound(d))
+    x = _invert_monotone_vec(d.cdf, lambda t: 0.5 * d.density(t), [0.55], -1.0, 1.0,
+                             0.5 * positivity_margin(d), d._cdf_error)
     assert abs(x[0]) <= 1e-10
     assert abs(marginal_cdf(d, float(x[0])) - 0.55) < 1e-12
 
@@ -387,12 +383,8 @@ def bisect_then_polish(fvec, dvec, y, lo, hi):
 
 def transport_problem(d):
     """(fvec, dvec, lo, hi, slope floor) of the CDF that generate_qud inverts."""
-    if isinstance(d, PlanarRationalDensity):
-        return (d.cdf, lambda th: d.density(th) / TWO_PI, 0.0, TWO_PI,
-                positivity_margin(d) / TWO_PI)
-    mass = weight_mass(3)
-    return (lambda t: _zonal_cdf_dim3(d, t), lambda t: d.density_at_t(t) / mass, -1.0, 1.0,
-            positivity_margin(d) / mass)
+    (lo, hi), mass = d._bracket, d._mass
+    return d.cdf, lambda x: d.density(x) / mass, lo, hi, positivity_margin(d) / mass
 
 
 def whole_array_generate(d, N, driver):
@@ -547,7 +539,7 @@ def test_transport_matches_the_plain_bisection_bit_for_bit(case):
     d, y = case
     fvec, dvec, lo, hi, floor = transport_problem(d)
     want = bisect_then_polish(fvec, dvec, y, lo, hi)
-    got = _invert_monotone_vec(fvec, dvec, y, lo, hi, floor, _cdf_error_bound(d))
+    got = _invert_monotone_vec(fvec, dvec, y, lo, hi, floor, d._cdf_error)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -577,8 +569,8 @@ def test_cdf_error_bound_holds_eight_times_over(d):
     # at transported roots and their float neighbours, stays 8 times below.
     fvec, dvec, lo, hi, floor = transport_problem(d)
     rng = np.random.default_rng(11)
-    roots = _invert_monotone_vec(fvec, dvec, rng.random(2000), lo, hi, floor, _cdf_error_bound(d))
+    roots = _invert_monotone_vec(fvec, dvec, rng.random(2000), lo, hi, floor, d._cdf_error)
     x = np.concatenate([rng.uniform(lo, hi, 100_000), roots,
                         np.nextafter(roots, lo), np.nextafter(roots, hi), [lo, hi]])
     err = np.max(np.abs(fvec(x).astype(np.longdouble) - long_double_cdf(d, x)))
-    assert 8 * err <= _cdf_error_bound(d), float(err)
+    assert 8 * err <= d._cdf_error, float(err)
