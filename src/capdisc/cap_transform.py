@@ -39,29 +39,25 @@ def weight_mass(n: int) -> float:
     return float(beta(0.5, (n - 1) / 2))
 
 
-def _zonal_integral(n, k, theta_lo, theta_hi, order):
-    # After t = cos(theta) the weighted integrand becomes the trigonometric
-    # polynomial P_k(cos theta) sin(theta)^(n-2), so Gauss-Legendre in theta
-    # converges super-geometrically regardless of the parity of n.
-    x, w = _gauss_rule(order)
-    half = 0.5 * (theta_hi - theta_lo)
-    theta = theta_lo + half * (x + 1.0)
-    f = legendre_eval(n, k, np.cos(theta)) * np.sin(theta) ** (n - 2)
-    return half * float(np.dot(w, f))
-
-
-def _default_order(k):
-    return max(40, 4 * k)
-
-
 # Twice the largest default order: the rule is an order x order eigen-solve,
 # so its cost grows as order^3.
 _MAX_ORDER = 8 * MAX_DEGREE
 
 
-def _check_order(order):
+def _normalized_integral(n, k, theta_hi, order):
+    """int_{cos(theta_hi)}^1 P_k(t) (1-t^2)^((n-3)/2) dt / weight_mass(n)."""
+    if order is None:
+        order = max(40, 4 * k)
     if not 1 <= order <= _MAX_ORDER:
         raise ValueError(f"quadrature order must lie in [1, {_MAX_ORDER}], got {order}")
+    # After t = cos(theta) the weighted integrand becomes the trigonometric
+    # polynomial P_k(cos theta) sin(theta)^(n-2), so Gauss-Legendre in theta
+    # converges super-geometrically regardless of the parity of n.
+    x, w = _gauss_rule(order)
+    half = 0.5 * theta_hi
+    theta = half * (x + 1.0)
+    f = legendre_eval(n, k, np.cos(theta)) * np.sin(theta) ** (n - 2)
+    return half * float(np.dot(w, f)) / weight_mass(n)
 
 
 @lru_cache(maxsize=4096)
@@ -86,11 +82,7 @@ def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> flo
         raise ValueError(f"degree must lie in [0, {MAX_DEGREE}], got {k}")
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
-    if order is None:
-        order = _default_order(k)
-    _check_order(order)
-    num = _zonal_integral(n, k, 0.0, float(np.arccos(s)), order)
-    return num / weight_mass(n)
+    return _normalized_integral(n, k, float(np.arccos(s)), order)
 
 
 def odd_mean_zero_check(n: int, k: int, order: int | None = None) -> float:
@@ -107,8 +99,4 @@ def odd_mean_zero_check(n: int, k: int, order: int | None = None) -> float:
         raise ValueError(f"degree must lie in [1, {MAX_DEGREE}], got {k}")
     if k % 2 == 0:
         raise ValueError("mean-zero identity is claimed only for odd degrees")
-    if order is None:
-        order = _default_order(k)
-    _check_order(order)
-    num = _zonal_integral(n, k, 0.0, np.pi, order)
-    return num / weight_mass(n)
+    return _normalized_integral(n, k, np.pi, order)

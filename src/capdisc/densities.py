@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cap_transform import funk_hecke_lambda, weight_mass
+from .cap_transform import funk_hecke_lambda
 from .orthopoly import MAX_DEGREE, _legendre_run, legendre_eval
 from .sphere import (
     _SWEEP_BLOCK,
@@ -210,17 +210,14 @@ class ZonalDensity:
 
     # generate_qud transports the first coordinate of a 2-D driver to t; the
     # second is the azimuth around the axis.  The slope is density / _mass,
-    # and _mass = weight_mass(3) = 2 - 2^-52, not 2: Newton's last bits use it.
-    _bracket, _point_dim = (-1.0, 1.0), 3
+    # and _mass = 2 - 2^-52, weight_mass(3) as scipy rounds it, not 2:
+    # Newton's last bits use it.
+    _bracket, _mass, _point_dim = (-1.0, 1.0), 2.0 - 2.0**-52, 3
 
     @property
     def _minimum(self):
         # |P_k| <= 1 on [-1, 1] and P_k(-1) = -1 for odd k.
         return 1.0 - self.coefficient
-
-    @property
-    def _mass(self):
-        return weight_mass(3)
 
     def _check_generation(self, driver):
         if self.dim != 3:
@@ -461,9 +458,7 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     driver._check_count(N)
     margin = positivity_margin(d)  # the TypeError for other densities
     d._check_generation(driver)
-    lo, hi = d._bracket
-    # Once, on the calling thread: the zonal mass imports scipy.
-    mass = d._mass
+    (lo, hi), mass = d._bracket, d._mass
     floor, err = margin / mass, d._cdf_error
     coords = np.empty((N, d._point_dim))
 

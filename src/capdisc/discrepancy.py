@@ -320,8 +320,6 @@ def cap_discrepancy_fixed_height(
         # arc-fixed, the sweep counts the half-open arcs [t, t + a).
         a = math.acos(s) / math.pi
         return _arc_sweep(ps, a, f"fixed-height(s={s!r})", threads)
-    if M < 1:
-        raise ValueError("need at least one direction")
     n = ps.dim
     target = cap_measure(n, s)
     if directions is None:

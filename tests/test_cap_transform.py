@@ -14,6 +14,8 @@ from capdisc import (
     odd_mean_zero_check,
     weight_mass,
 )
+from capdisc.cap_transform import _gauss_rule
+from capdisc.orthopoly import MAX_DEGREE
 
 S5 = 1.0 / math.sqrt(5.0)
 
@@ -173,3 +175,33 @@ def test_quadrature_order_bounds_are_inclusive():
     assert math.isfinite(odd_mean_zero_check(3, 3, order=1))
     assert funk_hecke_lambda(3, 3, 0.5, order=1600) == pytest.approx(lambda3_dim3(0.5), abs=1e-12)
     assert abs(odd_mean_zero_check(3, 199, order=1600)) <= 1e-12
+
+
+def unfolded_quadrature(n, k, theta_lo, theta_hi, order):
+    # The quadrature as it ran before one body served both public functions:
+    # default order, then the theta-interval form, then the division.
+    if order is None:
+        order = max(40, 4 * k)
+    x, w = _gauss_rule(order)
+    half = 0.5 * (theta_hi - theta_lo)
+    theta = theta_lo + half * (x + 1.0)
+    f = legendre_eval(n, k, np.cos(theta)) * np.sin(theta) ** (n - 2)
+    num = half * float(np.dot(w, f))
+    return num / weight_mass(n)
+
+
+def test_shared_quadrature_body_keeps_every_bit():
+    degrees = (0, 1, 2, 3, 8, 21, 40, 99, 157, MAX_DEGREE)
+    orders = (None, 1, 40, 1600)
+    for n in range(2, 13):
+        freak = [float(r) for r in legendre_roots(n + 2, 2) if r > 0.0]
+        heights = [-0.999, 0.0, 0.999, *freak]
+        funk_hecke_lambda.cache_clear()
+        new = [funk_hecke_lambda(n, k, s, order) for k in degrees for s in heights for order in orders]
+        new += [odd_mean_zero_check(n, k, order) for k in degrees if k % 2 for order in orders]
+        funk_hecke_lambda.cache_clear()
+        old = [unfolded_quadrature(n, k, 0.0, float(np.arccos(s)), order)
+               for k in degrees for s in heights for order in orders]
+        old += [unfolded_quadrature(n, k, 0.0, np.pi, order)
+                for k in degrees if k % 2 for order in orders]
+        assert np.array_equal(np.array(new).view(np.int64), np.array(old).view(np.int64)), n

@@ -508,8 +508,8 @@ def test_disc_circle_reports_a_positive_zero_start(tmp_path):
 
 
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):
-    # Start-up cost: planar generation, the circle families and the freak
-    # heights must run without loading scipy.
+    # Start-up cost: generation, the circle families and the freak heights
+    # must run without loading scipy.
     script = """
 import sys
 import capdisc.cli
@@ -518,6 +518,7 @@ assert "scipy" not in sys.modules, "import capdisc.cli"
 pts = ["--in", "planar.csv"]
 for argv in (
     ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", "planar.csv"],
+    ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300", "--out", "zonal.csv"],
     ["disc", *pts, "--family", "arc-fixed", "--a", "0.3"],
     ["disc", *pts, "--family", "circle"],
     ["disc", *pts, "--family", "telescope", "--a", "0.3", "--m", "4"],
@@ -531,16 +532,13 @@ for argv in (
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["gen-zonal", "cap-fixed-n3", "cap-fixed-n4",
-                                     "verify-caps", "eigenvalue"])
+@pytest.mark.parametrize("command", ["cap-fixed-n3", "cap-fixed-n4", "verify-caps", "eigenvalue"])
 def test_scipy_commands_work_first_in_a_fresh_interpreter(tmp_path, command):
     # Each loads scipy on its first use and writes the same bytes as a run
     # in this process.
     for n in (3, 4):
         save_points(generate_uniform(n, 400, "random", seed=n), tmp_path / f"u{n}.csv")
     argv = {
-        "gen-zonal": ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300",
-                      "--out", str(tmp_path / "z.csv")],
         "cap-fixed-n3": ["disc", "--in", str(tmp_path / "u3.csv"), "--family", "cap-fixed",
                          "--s", S5, "--M", "50", "--refine", "2"],
         "cap-fixed-n4": ["disc", "--in", str(tmp_path / "u4.csv"), "--family", "cap-fixed",

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import threading
 import time
 
 import numpy as np
@@ -455,20 +454,12 @@ def test_blocked_generation_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_zonal_generation_takes_the_weight_mass_once_on_the_calling_thread(monkeypatch):
-    # The first weight_mass in a process imports scipy, which a block worker
-    # thread must not do.
-    d = ZonalDensity(3, 3, 0.8, np.array([0.0, 0.0, 1.0]))
-    callers = []
-
-    def spy(n):
-        callers.append(threading.current_thread())
-        return weight_mass(n)
-
-    monkeypatch.setattr(capdisc.densities, "weight_mass", spy)
-    monkeypatch.setattr(capdisc.densities, "_SWEEP_BLOCK", 64)
-    generate_qud(d, 300, Driver("halton_2_3"), threads=2)
-    assert callers == [threading.main_thread()]
+def test_zonal_mass_is_the_weight_mass_of_the_two_sphere():
+    # The transport divides by this constant, so Newton's last bits follow
+    # it; within one ulp, since another scipy may round B(1/2, 1) otherwise.
+    mass = ZonalDensity._mass
+    assert mass == 2.0 - 2.0**-52
+    assert abs(mass - weight_mass(3)) <= math.ulp(mass)
 
 
 def test_generate_rejects_fewer_than_one_thread():

@@ -739,6 +739,16 @@ def test_cap_search_validation():
             cap_discrepancy_fixed_height(on, 0.5, M=10, refine=-1)
 
 
+def test_cap_search_given_directions_need_no_grid_size():
+    # Given directions replace the grid, so M is not read and may be 0.
+    ps = generate_uniform(3, 1000, "random", seed=5)
+    dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    zero = cap_discrepancy_fixed_height(ps, 0.3, M=0, directions=dirs, refine=2)
+    ten = cap_discrepancy_fixed_height(ps, 0.3, M=10, directions=dirs, refine=2)
+    assert zero.value == ten.value
+    assert zero.witness == ten.witness
+
+
 def test_cap_search_rejects_bad_directions():
     ps = generate_uniform(3, 1000, "random", seed=5)
     bad = [
