@@ -66,17 +66,9 @@ def dumps_report(obj) -> str:
     return _json_fragment(obj) + "\n"
 
 
-def _config_dict(args, skip=("func",)):
-    cfg = {}
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            cfg[key] = value
-        else:
-            cfg[key] = str(value)
-    return cfg
+def _config_dict(args):
+    # Every parsed value is a str, int, float, bool or None.
+    return {key: value for key, value in sorted(vars(args).items()) if key != "func"}
 
 
 def _emit(args, command, result) -> None:
@@ -106,14 +98,12 @@ def _cmd_gen(args) -> int:
             raise ValueError("planar generation needs --p and --q")
         density = PlanarRationalDensity(args.p, args.q)
         driver = Driver(driver_kind or "van_der_corput_base2", offset=args.seed)
-    elif args.density == "zonal":
+    else:  # zonal
         if args.k is None or args.c is None:
             raise ValueError("zonal generation needs --k and --c")
         axis = _parse_axis(args.axis, args.n)
         density = ZonalDensity(dim=args.n, degree=args.k, coefficient=args.c, axis=axis)
         driver = Driver(driver_kind or "halton_2_3", offset=args.seed)
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(f"unknown density {args.density!r}")
 
     ps = generate_qud(density, args.N, driver, threads=args.threads)
     out = args.out or "points.csv"
@@ -154,10 +144,8 @@ def _cmd_disc(args) -> int:
         res = cap_discrepancy_fixed_height(ps, args.s, args.M, refine=args.refine, threads=args.threads)
     elif args.family == "circle":
         res = circle_discrepancy(ps)
-    elif args.family == "telescope":
+    else:  # telescope
         res = telescoping_check(ps, args.a, args.m)
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(f"unknown family {args.family!r}")
     report = dataclasses.asdict(res)
     if args.family == "telescope":
         report["exact_match"] = res.lhs == res.rhs

@@ -430,8 +430,8 @@ def _invert_monotone_vec(fvec, dvec, y, lo, hi, slope_floor, err):
     return x
 
 
-def _orthonormal_frame(axis):
-    e = unit_vector(axis)
+def _orthonormal_frame(e):
+    # e is a unit vector, such as ZonalDensity.axis.
     pivot = int(np.argmin(np.abs(e)))
     b1 = -e[pivot] * e
     b1[pivot] += 1.0

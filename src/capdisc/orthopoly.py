@@ -16,9 +16,6 @@ import numpy as np
 # Forward recurrence accuracy is unvalidated past this degree.
 MAX_DEGREE = 200
 
-# Roots of distinct moderate degrees are separated far beyond this.
-DEDUP_TOL = 1e-10
-
 # Dot products of rotated unit vectors can overshoot [-1, 1] by a few ulp.
 _DOMAIN_SLACK = 1e-12
 
@@ -110,7 +107,7 @@ def _roots_eigen(d, k):
     j = np.arange(1, k - 1, dtype=float)
     sq = (j + d - 2) * (j + 1) / ((2 * j + d - 2) * (2 * j + d))
     off = np.sqrt(np.concatenate(([1.0 / d], sq)))
-    return np.sort(np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)))
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
 def legendre_roots(d: int, k: int) -> np.ndarray:
@@ -156,8 +153,8 @@ def freak_heights(n: int, max_degree: int) -> FreakHeights:
     """Freak-height set for the (n-1)-sphere up to a given even degree.
 
     Collects the positive roots of the dimension-(n+2) Legendre polynomials
-    of degrees 2, 4, ..., max_degree, sorts them, and merges duplicates
-    closer than DEDUP_TOL (keeping the lowest contributing degree).
+    of degrees 2, 4, ..., max_degree and sorts them: one entry per
+    (height, degree) pair.
     """
     if n < 3:
         raise ValueError(f"sphere dimension n must be >= 3, got {n}")
@@ -167,8 +164,7 @@ def freak_heights(n: int, max_degree: int) -> FreakHeights:
         raise ValueError(f"max_degree capped at {MAX_DEGREE}")
 
     # Every even degree's Golub-Welsch roots, highest degree first, share
-    # one Newton polish.  Equal heights merge to their lowest degree
-    # whatever their order.
+    # one Newton polish.
     degrees = np.arange(max_degree, 1, -2)
     root_degree = np.repeat(degrees, degrees)
     roots = _newton_polish(
@@ -177,13 +173,5 @@ def freak_heights(n: int, max_degree: int) -> FreakHeights:
     positive = roots > 0.0
     heights, root_degree = roots[positive], root_degree[positive]
     order = np.argsort(heights)
-    found = [FreakHeight(h, g) for h, g in zip(heights[order].tolist(), root_degree[order].tolist())]
-
-    merged: list[FreakHeight] = []
-    for e in found:
-        if merged and abs(e.height - merged[-1].height) < DEDUP_TOL:
-            if e.degree < merged[-1].degree:
-                merged[-1] = e
-            continue
-        merged.append(e)
-    return FreakHeights(dim=n, max_degree=max_degree, entries=tuple(merged))
+    entries = tuple(map(FreakHeight, heights[order].tolist(), root_degree[order].tolist()))
+    return FreakHeights(dim=n, max_degree=max_degree, entries=entries)

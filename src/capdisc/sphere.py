@@ -204,8 +204,8 @@ def radical_inverse(base: int, indices) -> np.ndarray:
     out = np.zeros(idx.shape, dtype=float)
     scale = 1.0 / base
     while np.any(idx > 0):
-        out += (idx % base) * scale
-        idx //= base
+        idx, digit = np.divmod(idx, base)
+        out += digit * scale
         scale /= base
     return out
 
@@ -268,10 +268,13 @@ def _parse_header(line):
 def save_points(ps: PointSet, path) -> None:
     """Write a point set as CSV: a provenance header, then one row per point
     of its coordinates as format(x, ".17g"), split by "," and ended by "\n".
+    The header is one line, so a generator label with "\n" or "\r" is a ValueError.
 
     Rows are formatted _WRITE_ROWS at a time by _format_fields, so the
     writer's temporaries are O(block) beside the point set.
     """
+    if "\n" in ps.provenance.generator or "\r" in ps.provenance.generator:
+        raise ValueError(f"generator label holds a line break: {ps.provenance.generator!r}")
     coords = ps.coords
     seps = np.tile(np.array([44] * (ps.dim - 1) + [10], np.uint8), _WRITE_ROWS)
     with open(path, "wb") as fh:

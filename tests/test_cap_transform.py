@@ -128,6 +128,8 @@ def test_height_domain_errors():
         funk_hecke_lambda(3, 2, -1.5)
     with pytest.raises(ValueError):
         funk_hecke_lambda(1, 2, 0.0)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        weight_mass(1)
 
 
 def test_degree_capped_at_max_degree():

@@ -266,6 +266,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["disc", "--in", str(tmp_path / "missing.csv"), "--family", "circle"]) == 2
     assert main(["gen", "--density", "zonal", "--k", "3", "--c", "2.0", "--N", "5",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    for flags, message in ((["--c", "0.8"], "zonal generation needs --k and --c"),
+                           (["--k", "3"], "zonal generation needs --k and --c"),
+                           (["--k", "3", "--c", "0.8", "--n", "3", "--axis", "1,0"],
+                            "axis needs 3 comma-separated coordinates, got 2")):
+        capsys.readouterr()
+        assert main(["gen", "--density", "zonal", *flags, "--N", "5",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"capdisc: error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
     with pytest.raises(SystemExit) as exc:
         main(["disc", "--family", "circle"])  # missing required --in
     assert exc.value.code == 2

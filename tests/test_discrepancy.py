@@ -453,6 +453,10 @@ def test_arc_sweep_validation():
     sphere_ps = fibonacci_points(10)
     with pytest.raises(ValueError):
         arc_discrepancy_fixed_length(sphere_ps, 0.25)
+    with pytest.raises(ValueError, match="defined on the circle"):
+        circle_discrepancy(sphere_ps)
+    with pytest.raises(ValueError, match="dim 2 only"):
+        sphere_ps.turns()
 
 
 def test_arc_sweep_rotation_equivariance():

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import eval_gegenbauer
 
 from capdisc import freak_heights, legendre_eval, legendre_roots
-from capdisc.orthopoly import DEDUP_TOL, MAX_DEGREE, _newton_polish, _roots_eigen
+from capdisc.orthopoly import MAX_DEGREE, _newton_polish, _roots_eigen
 
 
 # Closed-form oracles for k <= 4, obtained by Gram-Schmidt against the
@@ -198,8 +198,13 @@ def test_array_polish_bit_identical_to_scalar_loop():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, k)
 
 
+# The tolerance under which the former freak_heights merged two heights.
+DEDUP_TOL = 1e-10
+
+
 def _per_degree_freak_heights(n, max_degree):
-    # The former freak_heights: one legendre_roots call per even degree.
+    # The former freak_heights: one legendre_roots call per even degree, and
+    # heights closer than DEDUP_TOL merged to their lowest degree.
     found = []
     for deg in range(2, max_degree + 1, 2):
         for r in legendre_roots(n + 2, deg):
@@ -225,6 +230,18 @@ def test_freak_heights_bit_identical_to_per_degree_roots():
             got_h = np.array([e.height for e in got])
             want_h = np.array([h for h, _ in want])
             assert np.array_equal(got_h.view(np.int64), want_h.view(np.int64)), (n, max_degree)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 55])
+def test_freak_heights_keep_every_positive_root(n):
+    # Degree 2j has j positive roots, so (D/2)(D/2 + 1)/2 entries; no two
+    # heights coincide (at n = 55 the closest two of different degrees are
+    # 4.5e-10 apart).
+    fh = freak_heights(n, MAX_DEGREE)
+    assert len(fh.entries) == 5050
+    assert np.all(np.diff(fh.heights) > 0.0)
+    degrees = np.array([e.degree for e in fh.entries])
+    assert all(np.count_nonzero(degrees == k) == k // 2 for k in range(2, MAX_DEGREE + 1, 2))
 
 
 def test_polish_with_per_root_degrees_matches_one_degree_at_a_time():

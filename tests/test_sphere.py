@@ -154,6 +154,8 @@ def test_cap_measure_symmetry_and_monotonicity():
         cap_measure(3, 1.0)
     with pytest.raises(ValueError):
         cap_measure(3, -1.2)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        cap_measure(1, 0.0)
 
 
 def test_kronecker_angles():
@@ -188,6 +190,8 @@ def test_generate_uniform_validation_and_determinism():
         generate_uniform(3, 10, "bogus")
     with pytest.raises(ValueError):
         generate_uniform(3, 0, "halton_inverse")
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        generate_uniform(1, 10, "random")
     a = generate_uniform(4, 64, "halton_inverse", seed=5)
     b = generate_uniform(4, 64, "halton_inverse", seed=5)
     assert np.array_equal(a.coords, b.coords)
@@ -204,7 +208,7 @@ def test_radical_inverse_base2():
 
 
 def radical_inverse_by_digits(base, indices):
-    """The digit loop: each base-b digit times its power of 1/b."""
+    """The digit loop with two ufuncs: each base-b digit times its power of 1/b."""
     idx = np.atleast_1d(np.asarray(indices, dtype=np.int64)).copy()
     out = np.zeros(idx.shape, dtype=float)
     scale = 1.0 / base
@@ -221,7 +225,8 @@ def test_base2_radical_inverse_by_bit_reversal_matches_the_digit_loop():
     rng = np.random.default_rng(9)
     for idx in (edges, rng.integers(0, 2**53, 5000), rng.integers(0, top, 5000, endpoint=True),
                 top - np.arange(70_000), np.arange(2**53 - 100, 2**53 + 100)):
-        for base in (2, 3):
+        # Bases past 2 run the digit loop on every index, base 2 from 2^53.
+        for base in (2, 3, 5, 7, 13, 37):
             want = radical_inverse_by_digits(base, idx)
             assert np.array_equal(radical_inverse(base, idx).view(np.int64), want.view(np.int64))
     # each index alone gives its bits in a whole array too
@@ -362,6 +367,17 @@ def test_csv_matches_reference_writer_and_reloads_bit_identical(tmp_path, ps, th
     assert again.coords.shape == ps.coords.shape
     assert np.array_equal(again.coords.view(np.int64), ps.coords.view(np.int64))
     assert again.provenance == ps.provenance
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "trailing\n"])
+def test_save_points_rejects_a_generator_label_with_a_line_break(tmp_path, label):
+    # load_points reads the header as one line, so such a file could not be
+    # read back; no file is written.
+    path = tmp_path / "pts.csv"
+    ps = PointSet([[1.0, 0.0], [0.0, 1.0]], Provenance(label, 0))
+    with pytest.raises(ValueError, match="line break"):
+        save_points(ps, path)
+    assert not path.exists()
 
 
 def test_csv_edge_values_survive_normalization():
