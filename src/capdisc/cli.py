@@ -66,13 +66,10 @@ def dumps_report(obj) -> str:
     return _json_fragment(obj) + "\n"
 
 
-def _config_dict(args):
-    # Every parsed value is a str, int, float, bool or None.
-    return {key: value for key, value in sorted(vars(args).items()) if key != "func"}
-
-
 def _emit(args, command, result) -> None:
-    envelope = {"command": command, "config": _config_dict(args)}
+    # Every parsed value is a str, int, float, bool or None.
+    config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
+    envelope = {"command": command, "config": config}
     if not args.no_timestamp:
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
     envelope["result"] = result
@@ -156,6 +153,9 @@ def _cmd_disc(args) -> int:
 def _cmd_verify_caps(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
+    if args.axis is None:
+        # The last coordinate axis, recorded in the report's config.
+        args.axis = ",".join(["0"] * (args.n - 1) + ["1"])
     axis = _parse_axis(args.axis, args.n)
     density = ZonalDensity(dim=args.n, degree=args.k, coefficient=args.c, axis=axis)
     target = cap_measure(args.n, args.s)
@@ -266,8 +266,6 @@ def main(argv=None) -> int:
     if args.threads is None:
         # Resolved per call, so the shared parser never freezes it.
         args.threads = _default_threads()
-    if getattr(args, "axis", None) is None and args.command == "verify-caps":
-        args.axis = ",".join(["0"] * (args.n - 1) + ["1"])
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

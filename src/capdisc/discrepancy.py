@@ -298,7 +298,7 @@ def cap_discrepancy_fixed_height(
     above), then runs `refine` rounds of a shrinking-step hill climb from
     the best direction: 2(n-1) tangent probes per round, step halved from
     0.1 rad when no probe improves, stopping below 1e-4 rad.  The report
-    carries the witness direction and the refinement trace.
+    carries the counted witness direction and the refinement trace.
 
     Given `directions` replace the grid: an (M, n) array of nonzero finite
     rows, each normalized to unit length.  Caps are counted over point
@@ -334,7 +334,7 @@ def cap_discrepancy_fixed_height(
 
     devs = np.abs(_cap_counts(coords, dirs, s, threads) / ps.size - target)
     i = int(np.argmax(devs))  # the first maximum
-    u = dirs[i] / np.linalg.norm(dirs[i])
+    u = dirs[i]
     current = float(devs[i])
     trace = [current]
 

@@ -247,7 +247,7 @@ def generate_uniform(n: int, N: int, method: str, seed: int = 0) -> PointSet:
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {UNIFORM_METHODS}")
 
-    return PointSet(coords, Provenance(generator=f"uniform-{method}(n={n},N={N})", seed=seed))
+    return PointSet._adopt(coords, Provenance(generator=f"uniform-{method}(n={n},N={N})", seed=seed))
 
 
 def fibonacci_sphere(N: int) -> np.ndarray:
@@ -432,7 +432,7 @@ def load_points(path, threads: int = 1) -> PointSet:
         )
     if coords.shape[1] != dim:
         raise ValueError(f"point rows do not match declared dim={dim}")
-    return PointSet(coords, provenance)
+    return PointSet._adopt(coords, provenance)
 
 
 # Body bytes per read of the array reader.  The body is cut after the last

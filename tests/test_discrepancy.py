@@ -830,7 +830,7 @@ def _chunked_cap_search(ps, s, M, refine, directions=None):
         i = int(np.argmax(dev))
         if float(dev[i]) > best_val:
             best_val, best_idx = float(dev[i]), c0 + i
-    u = dirs[best_idx] / np.linalg.norm(dirs[best_idx])
+    u = dirs[best_idx]
     trace = [best_val]
     step, current = 0.1, best_val
     for _ in range(refine):
@@ -877,6 +877,37 @@ def test_cap_search_bit_identical_to_the_chunked_scan(n, n_pts, s, M):
     old = _chunked_cap_search(ps, s, M, 8)
     for threads in (1, 2, 3):
         _assert_bits_equal(cap_discrepancy_fixed_height(ps, s, M, refine=8, threads=threads), old)
+
+
+def _assert_witness_is_the_counted_row(ps, s, M, threads):
+    # Recounted in the search's own call shape, (N, n) points against the
+    # (M, n) grid: a one-direction product may round a boundary point to
+    # the other side.
+    dirs = direction_grid(ps.dim, M)
+    devs = np.abs(_cap_counts(ps.coords, dirs, s) / ps.size - cap_measure(ps.dim, s))
+    rep = cap_discrepancy_fixed_height(ps, s, M, refine=0, threads=threads)
+    center = np.array(rep.witness["center"])
+    rows = np.flatnonzero(np.all(dirs.view(np.int64) == center.view(np.int64), axis=1))
+    assert rows.size == 1, "the witness center is no row of the grid"
+    assert rep.value == devs[rows[0]] == devs.max()
+    assert rep.trace == (rep.value,)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n, n_pts, s, M", [(3, 5_000, 0.3, 500), (4, 5_000, 0.1, 257),
+                                            (5, 20_000, -0.2, 2000)])
+def test_cap_witness_is_a_grid_row_and_its_count(n, n_pts, s, M, threads):
+    _assert_witness_is_the_counted_row(generate_uniform(n, n_pts, "random", seed=n * M), s, M, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_cap_witness_is_the_counted_row_on_the_zonal_set(threads):
+    # Seed 2 of the zonal benchmark set at the freak height: its winning
+    # Fibonacci row is not bit-for-bit unit, so a re-normalized center
+    # would be no row of the grid.
+    d = ZonalDensity(dim=3, degree=3, coefficient=0.8, axis=np.array([0.0, 0.0, 1.0]))
+    ps = generate_qud(d, 100_000, Driver("halton_2_3", offset=2))
+    _assert_witness_is_the_counted_row(ps, S5, 2000, threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

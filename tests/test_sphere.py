@@ -814,6 +814,37 @@ def test_load_points_memory_on_two_threads(tmp_path):
     test_load_points_memory_is_the_result_plus_a_chunk(tmp_path, threads=2)
 
 
+def test_load_points_memory_on_a_crlf_file_is_under_twice_the_result(tmp_path):
+    # CRLF rows go to np.loadtxt, whose array the point set adopts.
+    N, n = 200_000, 3
+    lf = tmp_path / "lf.csv"
+    save_points(generate_uniform(n, N, "random", seed=6), lf)
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        ps = load_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.coords.shape == (N, n)
+    assert peak < 2 * N * n * 8, peak / (N * n * 8)
+
+
+def test_generate_uniform_memory_is_the_result_plus_a_block():
+    # The point set adopts the Gaussian draw and normalizes it in place, in
+    # blocks of rows.
+    N, n = 1 << 17, 3
+    tracemalloc.start()
+    try:
+        ps = generate_uniform(n, N, "random")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.coords.shape == (N, n)
+    assert peak < 3 * N * n * 8, peak / (N * n * 8)
+
+
 def test_pointset_copies_caller_arrays_and_adopts_its_own():
     rows = np.array([[3.0, 4.0], [0.0, 1.0]])
     ps = PointSet(rows, Provenance("copy", 0))
