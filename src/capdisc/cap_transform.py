@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orthopoly import MAX_DEGREE, legendre_eval
+from .sphere import _weight_tail
 
 __all__ = [
     "funk_hecke_lambda",
@@ -31,12 +32,9 @@ def _gauss_rule(order):
 
 
 def weight_mass(n: int) -> float:
-    """Full integral of (1-t^2)^((n-3)/2) over [-1, 1]."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    from scipy.special import beta
-
-    return float(beta(0.5, (n - 1) / 2))
+    """Full integral of (1-t^2)^((n-3)/2) over [-1, 1], for an integer n in
+    [2, 10^5]: W(2) = pi, W(3) = 2 and W(n) = W(n-2) (n-3)/(n-2)."""
+    return _weight_tail(n, -1.0)
 
 
 # Twice the largest default order: the rule is an order x order eigen-solve,
@@ -46,6 +44,7 @@ _MAX_ORDER = 8 * MAX_DEGREE
 
 def _normalized_integral(n, k, theta_hi, order):
     """int_{cos(theta_hi)}^1 P_k(t) (1-t^2)^((n-3)/2) dt / weight_mass(n)."""
+    mass = weight_mass(n)
     if order is None:
         order = max(40, 4 * k)
     if not 1 <= order <= _MAX_ORDER:
@@ -57,7 +56,7 @@ def _normalized_integral(n, k, theta_hi, order):
     half = 0.5 * theta_hi
     theta = half * (x + 1.0)
     f = legendre_eval(n, k, np.cos(theta)) * np.sin(theta) ** (n - 2)
-    return half * float(np.dot(w, f)) / weight_mass(n)
+    return half * float(np.dot(w, f)) / mass
 
 
 @lru_cache(maxsize=4096)
@@ -74,10 +73,9 @@ def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> flo
     Computed by Gauss-Legendre quadrature of order max(40, 4k) after the
     substitution t = cos(theta).  k is capped at MAX_DEGREE: the recurrence
     is unvalidated past it, and the rule's eigen-solve cost grows as order^3.
-    An explicit `order` must lie in [1, 8 * MAX_DEGREE].
+    n must be an integer in [2, 10^5] (see weight_mass), and an explicit
+    `order` must lie in [1, 8 * MAX_DEGREE].
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     if not 0 <= k <= MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_DEGREE}], got {k}")
     if not -1.0 < s < 1.0:
@@ -90,11 +88,9 @@ def odd_mean_zero_check(n: int, k: int, order: int | None = None) -> float:
 
     Returns the normalized integral of P_k(e . v) over the whole sphere,
     computed by quadrature; for odd degrees the symmetry of the weight
-    forces it below 1e-12 in magnitude.  Needs n >= 2, odd k in
-    [1, MAX_DEGREE] and an `order` in [1, 8 * MAX_DEGREE].
+    forces it below 1e-12 in magnitude.  Needs an integer n in [2, 10^5],
+    odd k in [1, MAX_DEGREE] and an `order` in [1, 8 * MAX_DEGREE].
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     if not 1 <= k <= MAX_DEGREE:
         raise ValueError(f"degree must lie in [1, {MAX_DEGREE}], got {k}")
     if k % 2 == 0:

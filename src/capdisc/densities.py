@@ -210,9 +210,8 @@ class ZonalDensity:
 
     # generate_qud transports the first coordinate of a 2-D driver to t; the
     # second is the azimuth around the axis.  The slope is density / _mass,
-    # and _mass = 2 - 2^-52, weight_mass(3) as scipy rounds it, not 2:
-    # Newton's last bits use it.
-    _bracket, _mass, _point_dim = (-1.0, 1.0), 2.0 - 2.0**-52, 3
+    # _mass = weight_mass(3) = 2.
+    _bracket, _mass, _point_dim = (-1.0, 1.0), 2.0, 3
 
     @property
     def _minimum(self):

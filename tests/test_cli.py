@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -517,59 +518,54 @@ def test_disc_circle_reports_a_positive_zero_start(tmp_path):
 
 
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):
-    # Start-up cost: generation, the circle families and the freak heights
-    # must run without loading scipy.
-    script = """
-import sys
-import capdisc.cli
-
-assert "scipy" not in sys.modules, "import capdisc.cli"
-pts = ["--in", "planar.csv"]
-for argv in (
-    ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", "planar.csv"],
-    ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300", "--out", "zonal.csv"],
-    ["disc", *pts, "--family", "arc-fixed", "--a", "0.3"],
-    ["disc", *pts, "--family", "circle"],
-    ["disc", *pts, "--family", "telescope", "--a", "0.3", "--m", "4"],
-    ["disc", *pts, "--family", "cap-fixed", "--s", "0.5"],
-    ["freak-heights", "--n", "3", "--max-degree", "6"],
-):
-    assert capdisc.cli.main(argv + ["--json", "out.json", "--no-timestamp"]) == 0, argv
-    assert "scipy" not in sys.modules, argv
-"""
-    proc = run_fresh(script, tmp_path)
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("command", ["gen-zonal", "cap-fixed-n3", "cap-fixed-n4",
-                                     "verify-caps", "eigenvalue"])
-def test_scipy_commands_work_first_in_a_fresh_interpreter(tmp_path, command):
-    # Each writes the same bytes as a run in this process. All but zonal gen
-    # load scipy on their first use; zonal gen, which once took its mass from
-    # scipy, must now leave it unloaded.
+    # The runtime needs only numpy: no command loads scipy, and each, run
+    # first in a fresh interpreter, writes the same bytes as a run in this
+    # process.  The n = 4 and n = 5 cases cover the Halton direction grid.
     for n in (3, 4):
         save_points(generate_uniform(n, 400, "random", seed=n), tmp_path / f"u{n}.csv")
-    argv = {
-        "gen-zonal": ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300",
-                      "--out", str(tmp_path / "z.csv")],
-        "cap-fixed-n3": ["disc", "--in", str(tmp_path / "u3.csv"), "--family", "cap-fixed",
-                         "--s", S5, "--M", "50", "--refine", "2"],
-        "cap-fixed-n4": ["disc", "--in", str(tmp_path / "u4.csv"), "--family", "cap-fixed",
-                         "--s", "0.3", "--M", "50", "--refine", "2"],
-        "verify-caps": ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5,
-                        "--M", "100"],
-        "eigenvalue": ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.25"],
-    }[command] + ["--json", str(tmp_path / "out.json"), "--no-timestamp"]
-    script = (
-        "import sys\nimport capdisc.cli\n"
-        f"rc = capdisc.cli.main({argv!r})\n"
-        f"assert ('scipy' in sys.modules) is {command != 'gen-zonal'}\nsys.exit(rc)\n"
-    )
-    proc = run_fresh(script, tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    fresh = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
-    assert main(argv) == 0
-    assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == fresh
+    planar = ["--in", str(tmp_path / "planar.csv")]
+    commands = [
+        ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", planar[1]],
+        ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300",
+         "--out", str(tmp_path / "z.csv")],
+        ["disc", *planar, "--family", "arc-fixed", "--a", "0.3"],
+        ["disc", *planar, "--family", "circle"],
+        ["disc", *planar, "--family", "telescope", "--a", "0.3", "--m", "4"],
+        ["disc", *planar, "--family", "cap-fixed", "--s", "0.5"],
+        ["freak-heights", "--n", "3", "--max-degree", "6"],
+        ["disc", "--in", str(tmp_path / "u3.csv"), "--family", "cap-fixed", "--s", S5,
+         "--M", "50", "--refine", "2"],
+        ["disc", "--in", str(tmp_path / "u4.csv"), "--family", "cap-fixed", "--s", "0.3",
+         "--M", "50", "--refine", "2"],
+        ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5, "--M", "100"],
+        ["verify-caps", "--n", "5", "--k", "3", "--c", "0.5", "--s", repr(1 / math.sqrt(7)),
+         "--M", "200"],
+        ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.25"],
+    ]
+    for argv in commands:
+        argv = argv + ["--json", str(tmp_path / "out.json"), "--no-timestamp"]
+        script = (
+            "import sys\nimport capdisc.cli\nassert 'scipy' not in sys.modules\n"
+            f"rc = capdisc.cli.main({argv!r})\nassert 'scipy' not in sys.modules\nsys.exit(rc)\n"
+        )
+        proc = run_fresh(script, tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        fresh = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == fresh, argv
+
+
+def test_eigenvalue_past_the_dimension_bound_exits_two(capsys):
+    # weight_mass takes n/2 steps, so dimensions stop at 10^5, and the check
+    # comes before the quadrature.
+    for n in ("100001", "1000000000"):
+        t0 = time.perf_counter()
+        code = main(["eigenvalue", "--n", n, "--k", "3", "--s", "0.5", "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2 and time.perf_counter() - t0 < 5.0, n
+        assert "Traceback" not in err and "capdisc: error: dimension must be >= 2" in err
+    code, doc = run_json(["eigenvalue", "--n", "100000", "--k", "3", "--s", "0.5"], capsys)
+    assert code == 0 and doc["result"]["lambda"] == funk_hecke_lambda(100000, 3, 0.5)
 
 
 def test_main_builds_one_parser_and_reuses_it(tmp_path, monkeypatch):

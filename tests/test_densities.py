@@ -455,11 +455,8 @@ def test_blocked_generation_under_thread_stress(monkeypatch):
 
 
 def test_zonal_mass_is_the_weight_mass_of_the_two_sphere():
-    # The transport divides by this constant, so Newton's last bits follow
-    # it; within one ulp, since another scipy may round B(1/2, 1) otherwise.
-    mass = ZonalDensity._mass
-    assert mass == 2.0 - 2.0**-52
-    assert abs(mass - weight_mass(3)) <= math.ulp(mass)
+    # The transport divides by this constant, so Newton's last bits follow it.
+    assert ZonalDensity._mass == weight_mass(3) == 2.0
 
 
 def test_generate_rejects_fewer_than_one_thread():

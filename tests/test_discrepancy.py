@@ -931,9 +931,6 @@ def test_cap_scan_keeps_the_first_of_tied_maxima(threads):
 
 
 def test_cap_search_memory_does_not_grow_with_n():
-    # The first cap measure in a process imports scipy; keep that one-time
-    # allocation out of the traced peaks.
-    cap_measure(3, S5)
     peaks = []
     for n_pts in (2**14, 2**17):
         ps = generate_uniform(3, n_pts, "random", seed=9)

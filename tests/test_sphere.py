@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import beta, betainc, ndtri
 
 import capdisc.sphere as sphere
 from capdisc import (
@@ -30,6 +31,7 @@ from capdisc import (
     radical_inverse,
     save_points,
     unit_vector,
+    weight_mass,
 )
 from capdisc.cli import main
 from capdisc.discrepancy import _cap_counts
@@ -142,20 +144,110 @@ def test_cap_measure_against_quadrature():
 
 
 def test_cap_measure_symmetry_and_monotonicity():
-    for n in (2, 3, 4, 6):
-        s = np.linspace(-0.99, 0.99, 41)
-        vals = np.array([cap_measure(n, float(x)) for x in s])
-        assert np.all(np.diff(vals) < 0.0)
-        for x in s:
-            assert cap_measure(n, float(x)) + cap_measure(n, float(-x)) == pytest.approx(
-                1.0, abs=1e-12
-            )
+    # mu is taken at |s| and reflected, so mu(0) = 1/2 and, for s > 0,
+    # mu(-s) = 1 - mu(s) hold bit for bit, for even n too.
+    s = np.linspace(-0.99, 0.99, 1981).tolist()
+    for n in range(2, 13):
+        assert cap_measure(n, 0.0) == cap_measure(n, -0.0) == 0.5
+        vals = [cap_measure(n, x) for x in s]
+        assert all(a > b for a, b in zip(vals, vals[1:])), n
+        for x in s[991:]:
+            assert cap_measure(n, -x) == 1.0 - cap_measure(n, x), (n, x)
     with pytest.raises(ValueError):
         cap_measure(3, 1.0)
     with pytest.raises(ValueError):
         cap_measure(3, -1.2)
     with pytest.raises(ValueError, match="dimension must be >= 2"):
         cap_measure(1, 0.0)
+
+
+def _tail_by_binomials(n, s):
+    # int_s^1 (1-t^2)^p dt for odd n = 2p + 3, term by term over the binomial
+    # expansion of (1-t^2)^p: exact for a rational s, and independent of the
+    # package's integration-by-parts recursion.
+    p, s = (n - 3) // 2, Fraction(s)
+    return sum(Fraction((-1) ** j * math.comb(p, j), 2 * j + 1) * (1 - s ** (2 * j + 1))
+               for j in range(p + 1))
+
+
+def test_weight_mass_of_odd_dimensions_is_the_exact_rational():
+    # W(n) is rational for odd n.  The recursion rounds once per step of 2
+    # in n; up to n = 13 it is within 1 ulp (0.994 ulp at most, measured).
+    for n in range(3, 14, 2):
+        w = weight_mass(n)
+        assert abs(Fraction(w) - _tail_by_binomials(n, -1)) <= Fraction(math.ulp(w)), n
+    assert weight_mass(3) == 2.0 and weight_mass(2) == math.pi
+
+
+def test_cap_measure_of_odd_dimensions_against_exact_rationals():
+    # mu(s) is rational for odd n and a double s.  Its error is absolute, in
+    # units of 2^-53: at most 2.2 here, so the bound is 4, on a dyadic grid,
+    # random heights and heights next to the poles and the equator.
+    rng = np.random.default_rng(17)
+    heights = ([j / 64 for j in range(-63, 64)] + rng.uniform(-1.0, 1.0, 100).tolist()
+               + [0.999, -0.999, 1e-300, -1e-300, math.nextafter(1.0, 0.0)])
+    for n in range(3, 14, 2):
+        mass = _tail_by_binomials(n, -1)
+        for s in heights:
+            exact = _tail_by_binomials(n, abs(s)) / mass
+            exact = exact if s >= 0.0 else 1 - exact
+            assert abs(Fraction(cap_measure(n, s)) - exact) <= 4 * Fraction(1, 2**53), (n, s)
+
+
+def test_closed_forms_against_scipy_beta_and_betainc():
+    # scipy as an oracle for n = 2..12.  W(n) agrees with beta(1/2, (n-1)/2)
+    # within 2 ulp (measured: 2).  betainc itself errs by up to about 1300
+    # units of 2^-53 here (scipy 1.17.1), against 2.2 for the recursion above,
+    # so the cap measures are compared within 2^-41 (4,096 units).
+    rng = np.random.default_rng(29)
+    heights = rng.uniform(-1.0, 1.0, 400).tolist() + [0.0, 0.5, -0.5, 0.99]
+    for n in range(2, 13):
+        w = weight_mass(n)
+        assert abs(w - float(beta(0.5, (n - 1) / 2))) <= 2 * math.ulp(w), n
+        for s in heights:
+            ref = 0.5 * float(betainc((n - 1) / 2, 0.5, 1.0 - s * s))
+            ref = ref if s >= 0.0 else 1.0 - ref
+            assert abs(cap_measure(n, s) - ref) <= 2.0**-41, (n, s)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4), "3", None, 1, 0,
+                               sphere._MAX_DIM + 1, 10**9])
+def test_weight_mass_and_cap_measure_reject_bad_dimensions(n):
+    # A non-integer dimension names no sphere; past 10^5 the recursion's
+    # n/2 steps would run for seconds to minutes.
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        weight_mass(n)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        cap_measure(n, 0.2)
+
+
+def test_halton_inverse_matches_the_scipy_normal_quantile():
+    # statistics.NormalDist's quantile against scipy's ndtri as an oracle:
+    # after normalizing, the rows agree within 1e-15 (4.4e-16 measured).
+    for n in (2, 4, 5, 12):
+        got = generate_uniform(n, 3000, "halton_inverse", seed=3).coords
+        idx = np.arange(4, 3004)
+        ref = np.column_stack([ndtri(radical_inverse(p, idx)) for p in sphere._PRIMES[:n]])
+        ref /= np.linalg.norm(ref, axis=1)[:, None]
+        assert np.abs(got - ref).max() <= 1e-15, n
+
+
+def test_cap_measure_up_to_the_dimension_bound():
+    # Integer types from numpy are dimensions too, and the bound itself runs.
+    assert cap_measure(np.int64(5), 0.3) == cap_measure(5, 0.3)
+    assert weight_mass(np.int32(7)) == weight_mass(7)
+    n = sphere._MAX_DIM
+    assert cap_measure(n, 0.0) == 0.5
+    for s in (0.001, 0.003, -0.01):
+        ref = 0.5 * float(betainc((n - 1) / 2, 0.5, 1.0 - s * s))
+        ref = ref if s >= 0.0 else 1.0 - ref
+        # betainc's own error at this size is about 2e-12.
+        assert abs(cap_measure(n, s) - ref) <= 1e-11, s
+    # W(n) W(n+1) = 2 pi / (n-1) ties the even and odd recursions together;
+    # scipy's beta errs by 5e-11 here, the recursion by 1e-14.
+    for m in (2, 3, 4, 7, 12, n - 1):
+        assert weight_mass(m) * weight_mass(m + 1) == pytest.approx(2 * math.pi / (m - 1),
+                                                                     rel=1e-13), m
 
 
 def test_kronecker_angles():
