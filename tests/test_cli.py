@@ -517,42 +517,60 @@ def test_disc_circle_reports_a_positive_zero_start(tmp_path):
     assert theta0 == 0.0 and math.copysign(1.0, theta0) == 1.0
 
 
+def assert_fresh_run_without_scipy(argv, tmp_path):
+    """Run argv first in a fresh interpreter, check that scipy stays unloaded,
+    and check that a run in this process writes the same bytes."""
+    argv = argv + ["--json", str(tmp_path / "out.json"), "--no-timestamp"]
+    script = (
+        "import sys\nimport capdisc.cli\nassert 'scipy' not in sys.modules\n"
+        f"rc = capdisc.cli.main({argv!r})\nassert 'scipy' not in sys.modules\nsys.exit(rc)\n"
+    )
+    proc = run_fresh(script, tmp_path)
+    assert proc.returncode == 0, (argv, proc.stderr)
+    fresh = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == fresh, argv
+
+
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):
-    # The runtime needs only numpy: no command loads scipy, and each, run
-    # first in a fresh interpreter, writes the same bytes as a run in this
-    # process.  The n = 4 and n = 5 cases cover the Halton direction grid.
-    for n in (3, 4):
-        save_points(generate_uniform(n, 400, "random", seed=n), tmp_path / f"u{n}.csv")
+    # The runtime needs only numpy: generation, the circle families, the
+    # freak heights and the n = 5 cap check run without loading scipy.  The
+    # n = 5 case covers the Halton direction grid.
     planar = ["--in", str(tmp_path / "planar.csv")]
-    commands = [
+    for argv in (
         ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", planar[1]],
-        ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300",
-         "--out", str(tmp_path / "z.csv")],
         ["disc", *planar, "--family", "arc-fixed", "--a", "0.3"],
         ["disc", *planar, "--family", "circle"],
         ["disc", *planar, "--family", "telescope", "--a", "0.3", "--m", "4"],
         ["disc", *planar, "--family", "cap-fixed", "--s", "0.5"],
         ["freak-heights", "--n", "3", "--max-degree", "6"],
-        ["disc", "--in", str(tmp_path / "u3.csv"), "--family", "cap-fixed", "--s", S5,
-         "--M", "50", "--refine", "2"],
-        ["disc", "--in", str(tmp_path / "u4.csv"), "--family", "cap-fixed", "--s", "0.3",
-         "--M", "50", "--refine", "2"],
-        ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5, "--M", "100"],
         ["verify-caps", "--n", "5", "--k", "3", "--c", "0.5", "--s", repr(1 / math.sqrt(7)),
          "--M", "200"],
-        ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.25"],
-    ]
-    for argv in commands:
-        argv = argv + ["--json", str(tmp_path / "out.json"), "--no-timestamp"]
-        script = (
-            "import sys\nimport capdisc.cli\nassert 'scipy' not in sys.modules\n"
-            f"rc = capdisc.cli.main({argv!r})\nassert 'scipy' not in sys.modules\nsys.exit(rc)\n"
-        )
-        proc = run_fresh(script, tmp_path)
-        assert proc.returncode == 0, (argv, proc.stderr)
-        fresh = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
-        assert main(argv) == 0
-        assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == fresh, argv
+    ):
+        assert_fresh_run_without_scipy(argv, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["gen-zonal", "cap-fixed-n3", "cap-fixed-n4",
+                                     "verify-caps", "eigenvalue"])
+def test_scipy_commands_work_first_in_a_fresh_interpreter(tmp_path, command):
+    # The commands that once took masses, cap measures or normal quantiles
+    # from scipy now compute them in closed form: each, run first in a fresh
+    # interpreter, leaves scipy unloaded and writes the same bytes as a run
+    # in this process.  The n = 4 case covers the Halton direction grid.
+    for n in (3, 4):
+        save_points(generate_uniform(n, 400, "random", seed=n), tmp_path / f"u{n}.csv")
+    argv = {
+        "gen-zonal": ["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "300",
+                      "--out", str(tmp_path / "z.csv")],
+        "cap-fixed-n3": ["disc", "--in", str(tmp_path / "u3.csv"), "--family", "cap-fixed",
+                         "--s", S5, "--M", "50", "--refine", "2"],
+        "cap-fixed-n4": ["disc", "--in", str(tmp_path / "u4.csv"), "--family", "cap-fixed",
+                         "--s", "0.3", "--M", "50", "--refine", "2"],
+        "verify-caps": ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5,
+                        "--M", "100"],
+        "eigenvalue": ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.25"],
+    }[command]
+    assert_fresh_run_without_scipy(argv, tmp_path)
 
 
 def test_eigenvalue_past_the_dimension_bound_exits_two(capsys):
