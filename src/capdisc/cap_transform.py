@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orthopoly import MAX_DEGREE, legendre_eval
-from .sphere import _weight_tail
+from .sphere import _weight_tail, cap_measure
 
 __all__ = [
     "funk_hecke_lambda",
@@ -70,17 +70,29 @@ def funk_hecke_lambda(n: int, k: int, s: float, order: int | None = None) -> flo
 
     so that averaging v -> P_k(e . v) over the cap C_s(u) gives
     lambda_k(s) * P_k(e . u); for k=0 this is the uniform cap measure.
-    Computed by Gauss-Legendre quadrature of order max(40, 4k) after the
-    substitution t = cos(theta).  k is capped at MAX_DEGREE: the recurrence
-    is unvalidated past it, and the rule's eigen-solve cost grows as order^3.
-    n must be an integer in [2, 10^5] (see weight_mass), and an explicit
-    `order` must lie in [1, 8 * MAX_DEGREE].
+    Without `order` it is evaluated in closed form: lambda_0 = cap_measure
+    and, for k >= 1,
+
+        lambda_k(s) = (1-s^2)^((n-1)/2) P^(n+2)_{k-1}(s) / ((n-1) weight_mass(n)),
+
+    from the Sturm-Liouville form ((1-t^2)^((n-1)/2) P_k')' =
+    -k(k+n-2) (1-t^2)^((n-3)/2) P_k and P_k' = k(k+n-2)/(n-1) P^(n+2)_{k-1}.
+    An explicit `order` in [1, 8 * MAX_DEGREE] evaluates the integral by
+    Gauss-Legendre quadrature of that order after t = cos(theta), the
+    reference the closed form is checked against.  k is capped at
+    MAX_DEGREE, where the recurrence is validated, and n must be an integer
+    in [2, 10^5] (see weight_mass).
     """
     if not 0 <= k <= MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {MAX_DEGREE}], got {k}")
     if not -1.0 < s < 1.0:
         raise ValueError(f"cap height must lie in (-1, 1), got {s}")
-    return _normalized_integral(n, k, float(np.arccos(s)), order)
+    if order is not None:
+        return _normalized_integral(n, k, float(np.arccos(s)), order)
+    if k == 0:
+        return cap_measure(n, s)
+    weight = ((1.0 - s) * (1.0 + s)) ** (0.5 * (n - 1))
+    return weight * legendre_eval(n + 2, k - 1, s) / ((n - 1) * weight_mass(n))
 
 
 def odd_mean_zero_check(n: int, k: int, order: int | None = None) -> float:

@@ -36,16 +36,16 @@ from .sphere import (
 
 DRIVER_KINDS = ("van_der_corput_base2", "halton_2_3", "kronecker_golden")
 
-# Inverse-CDF transport: bisection halvings, then Newton steps.
-_BISECT_STEPS = 52
-_NEWTON_STEPS = 3
-
-# The transport's root hint: a table of the CDF at this many knots, then
-# Newton steps from the interpolated root.
+# Inverse-CDF transport: safeguarded Newton steps from the root of a table
+# of the CDF at _LOCATE_KNOTS knots.  The step cap is a backstop: on 10^6
+# random driver values no point of the test densities took more than 18
+# steps.  Points go in slices of _NEWTON_SLICE: with 16,384 the zonal_s2
+# process peaked about 1 MiB higher (the heap kept more), and with 2,048 the
+# per-step overhead made planar generation as slow as the bisection it
+# replaced.
 _LOCATE_KNOTS = 4097
-_LOCATE_STEPS = 2
-# Beyond any bracket end: mid + _HUGE > b and mid - _HUGE < a.
-_HUGE = 1e300
+_NEWTON_STEPS = 32
+_NEWTON_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -121,20 +121,6 @@ class PlanarRationalDensity:
         osc += th / TWO_PI
         return osc
 
-    @property
-    def _cdf_error(self) -> float:
-        """E >= |fl(cdf(th)) - cdf(th)| on [0, 2*pi], cdf with exact pi; u = 2^-53.
-
-        fl(cdf) = th / TWO_PI + (1 - cos(2q th)) / (8 pi q), term by term:
-        th / TWO_PI <= 1 carries TWO_PI's relative error 0.35u and its rounding
-        u/2; rounding 2q th (<= 4 pi q) moves the cosine by 4 pi q u, which the
-        division by 8 pi q turns into u/2; a cosine within k ulp, 1 - cos and
-        the constant 8 pi q add (k + 2) u / (8 pi) <= 0.2u for k <= 3; the
-        quotient and the final sum (<= 1.08) round by at most 0.06u and u.
-        That is about 2.6u = 3e-16; E = 4e-15 keeps a factor above 10.
-        """
-        return 4e-15
-
     # generate_qud transports a 1-D driver to the angle theta, with slope
     # density / _mass; the density's minimum is 1/2, where the sine is -1.
     _bracket, _mass, _minimum, _point_dim = (0.0, TWO_PI), TWO_PI, 0.5, 2
@@ -188,25 +174,6 @@ class ZonalDensity:
                 lower = p
         poly = (p - lower) / (2 * k + 1)
         return 0.5 * (t + 1.0) + 0.5 * c * poly
-
-    @property
-    def _cdf_error(self) -> float:
-        """E >= |fl(cdf(t)) - cdf(t)| on [-1, 1], cdf with exact polynomials; u = 2^-53.
-
-        fl(cdf) = (t + 1)/2 + c (P_{k+1} - P_{k-1}) / (2 (2k + 1)): one step
-        of the recurrence (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1} (|P_j| <=
-        1, five roundings) errs by at most 7u.  An error at P_{m+1} reaches
-        P_n through the recurrence's own solution with P_m = 0 and P_{m+1} =
-        1, which is largest at t = +-1 (checked on [-1, 1] for every m < n
-        <= MAX_DEGREE), where it is (m + 1)(H_n - H_m), H the harmonic
-        numbers.  Their sum over m stays below n^2 / 3, so the recurrence
-        errs by at most 7u n^2 / 3 at degree n.  With the two degrees k +- 1
-        divided by 2k + 1 and the few roundings of the outer expression
-        (below 3u) this is u (7c (k^2 + 1) / (3 (2k + 1)) + 3); E is ten
-        times that.
-        """
-        k, c = self.degree, self.coefficient
-        return 10.0 * 2.0**-53 * (7.0 * c * (k * k + 1) / (3.0 * (2 * k + 1)) + 3.0)
 
     # generate_qud transports the first coordinate of a 2-D driver to t; the
     # second is the azimuth around the axis.  The slope is density / _mass,
@@ -311,121 +278,50 @@ def marginal_cdf(d: ZonalDensity, t: float) -> float:
     return 1.0 - cap_measure(d.dim, t) - d.coefficient * lam
 
 
-def _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err):
-    """Bounds below <= above around a root hint x* of fvec(x) = y such that
-    fvec(mid) < y exactly when mid < below, for every mid outside them.
-
-    Let G be the CDF that fvec evaluates, increasing on [lo, hi] from 0 to
-    1 with slope G' >= g = slope_floor, and E = err a bound on
-    |fvec(x) - G(x)|.  Take margin = (|fvec(x*) - y| + 3E) / g.  The root r
-    of G = y (y in [0, 1]) lies within (|fvec(x*) - y| + E) / g of x*.  A
-    mid farther than margin from x* then lies more than 2E / g from r, on
-    the side of x*, so |G(mid) - y| > 2E with the sign of mid - x*; as
-    rounding moves G(mid) by at most E, fvec(mid) < y exactly when
-    mid < x*.  The remaining E / g covers rounding in margin and in
-    x* -+ margin: relative 5u on margin <= (1 + 3E) / g, plus u max(|lo|,
-    |hi|), below E / g for E >= 7e-16 + g u max(|lo|, |hi|), u = 2^-53.
-    A NaN bound compares false on both sides, so it certifies nothing.
-    """
-    # x*: G^-1 interpolated on a uniform grid of [0, 1], so each y finds its
-    # cell by index, then Newton steps.
-    knots = np.linspace(lo, hi, _LOCATE_KNOTS)
-    inverse = np.interp(np.linspace(0.0, 1.0, _LOCATE_KNOTS), fvec(knots), knots)
-    pos = y * (_LOCATE_KNOTS - 1)
-    cell = np.clip(pos.astype(np.intp), 0, _LOCATE_KNOTS - 2)
-    x = inverse[cell] + (inverse[cell + 1] - inverse[cell]) * (pos - cell)
-    del pos, cell
-    for _ in range(_LOCATE_STEPS):
-        x = np.clip(x - (fvec(x) - y) / np.maximum(dvec(x), slope_floor), lo, hi)
-    margin = np.abs(fvec(x) - y)
-    margin += 3.0 * err
-    margin /= slope_floor
-    below = x - margin
-    margin += x
-    return below, margin
-
-
-def _take_halves(a, b, mid, less, step):
-    """a, b = where(less, mid, a), where(less, b, mid), in place, without
-    branching on the mask: mid + _HUGE rounds to _HUGE and mid - _HUGE to
-    -_HUGE, outside [a, b], so they lose the min and the max.  Uses mid
-    and step as scratch."""
-    np.multiply(less, _HUGE, out=step)
-    step += mid
-    np.minimum(b, step, out=b)
-    step -= mid
-    step -= _HUGE
-    mid += step
-    np.maximum(a, mid, out=a)
-
-
-def _bisect(fvec, dvec, y, lo, hi, slope_floor, err):
-    """0.5 * (a + b) after the 52 halvings of [lo, hi] that keep a root of
-    fvec(x) = y in [a, b], bit for bit.
-
-    fvec(mid) < y is taken as mid < below wherever mid lies outside
-    [below, above] (see _certified_bounds), and fvec is called on the
-    other mids only.  Once more than a quarter of a halving's mids lie
-    inside, fvec is called on every mid of that and each later halving.
-    """
-    below, above = _certified_bounds(fvec, dvec, y, lo, hi, slope_floor, err)
-    a = np.full(y.shape, lo, dtype=float)
-    b = np.full(y.shape, hi, dtype=float)
-    mid = np.empty_like(a)
-    step = np.empty_like(a)
-    less = np.empty(a.shape, dtype=bool)
-    sure = np.empty(a.shape, dtype=bool)
-    whole = False
-    for _ in range(_BISECT_STEPS):
-        np.add(a, b, out=mid)
-        mid *= 0.5
-        if not whole:
-            np.less(mid, below, out=less)
-            np.greater(mid, above, out=sure)
-            sure |= less
-            unsure = np.flatnonzero(~sure)
-            if 4 * unsure.size > a.size:
-                # Dropped here, so the whole-block fvec calls do not hold them too.
-                whole = True
-                del below, above, sure, unsure
-            elif unsure.size:
-                less[unsure] = fvec(mid[unsure]) < y[unsure]
-        if whole:
-            np.less(fvec(mid), y, out=less)
-        _take_halves(a, b, mid, less, step)
-    a += b
-    a *= 0.5
-    return a
-
-
-def _invert_monotone_vec(fvec, dvec, y, lo, hi, slope_floor, err):
+def _invert_monotone_vec(fvec, dvec, y, lo, hi):
     """Root in [lo, hi] of fvec(x) = y for an increasing CDF, y in [0, 1].
 
-    Bit for bit the 52 bisection halvings and 3 Newton steps
-
-        a, b = lo, hi
-        52 times: mid = 0.5 * (a + b); a, b = (mid, b) if fvec(mid) < y else (a, mid)
-        x = 0.5 * (a + b)
-        3 times: x = clip(x - (fvec(x) - y) / max(dvec(x), 1e-300), lo, hi)
-
-    with most fvec calls replaced by comparisons (`slope_floor` and `err`
-    as in _certified_bounds).  Each Newton step runs only where the last
-    one moved x: a step that leaves x's bits unchanged is at its fixed
-    point.
+    Safeguarded Newton: each point starts from the root of a table of fvec
+    interpolated at y and keeps a bracket [a, b] that the sign of
+    fvec(x) - y narrows.  A Newton step that would leave the bracket becomes
+    the bisection step 0.5 * (a + b).  A point stops when its step lands on
+    a bracket end, which its current iterate has just become (a step that
+    leaves its bits unchanged) or an earlier iterate (a 2-cycle), when its
+    bracket is no wider than the rounding of the domain's largest point, or
+    after _NEWTON_STEPS steps.  Each point's steps read only its own y, so
+    no bit depends on how y is split.  dvec must be positive.
     """
     y = np.asarray(y, dtype=float)
-
-    def newton(x, target):
-        return np.clip(x - (fvec(x) - target) / np.maximum(dvec(x), 1e-300), lo, hi)
-
-    old = _bisect(fvec, dvec, y, lo, hi, slope_floor, err)
-    x = newton(old, y)
-    moving = np.flatnonzero(x.view(np.int64) != old.view(np.int64))
-    for _ in range(_NEWTON_STEPS - 1):
-        old = x[moving]
-        new = newton(old, y[moving])
-        x[moving] = new
-        moving = moving[new.view(np.int64) != old.view(np.int64)]
+    knots = np.linspace(lo, hi, _LOCATE_KNOTS)
+    inverse = np.interp(np.linspace(0.0, 1.0, _LOCATE_KNOTS), fvec(knots), knots)
+    # A bracket this narrow holds the root to the rounding of the domain's
+    # largest point.
+    tol = 2.0**-53 * max(abs(lo), abs(hi))
+    x = np.empty_like(y)
+    for start in range(0, y.size, _NEWTON_SLICE):
+        ys, xs = y[start : start + _NEWTON_SLICE], x[start : start + _NEWTON_SLICE]
+        pos = ys * (_LOCATE_KNOTS - 1)
+        cell = np.clip(pos.astype(np.intp), 0, _LOCATE_KNOTS - 2)
+        xs[...] = inverse[cell] + (inverse[cell + 1] - inverse[cell]) * (pos - cell)
+        moving = np.arange(ys.size)
+        a, b = np.full(ys.size, lo), np.full(ys.size, hi)
+        for _ in range(_NEWTON_STEPS):
+            cur = xs[moving]
+            step = fvec(cur)
+            step -= ys[moving]
+            step /= dvec(cur)
+            # step has the sign of fvec(cur) - y, as dvec > 0.
+            np.copyto(a, cur, where=step <= 0.0)
+            np.copyto(b, cur, where=step > 0.0)
+            np.subtract(cur, step, out=step)
+            # A NaN step fails both comparisons and bisects too.
+            out = ~((step >= a) & (step <= b))
+            step[out] = 0.5 * (a[out] + b[out])
+            xs[moving] = step
+            keep = (step != a) & (step != b) & (b - a > tol)
+            if not keep.any():
+                break
+            moving, a, b = moving[keep], a[keep], b[keep]
     return x
 
 
@@ -455,16 +351,15 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     if N < 1:
         raise ValueError(f"need N >= 1 points, got {N}")
     driver._check_count(N)
-    margin = positivity_margin(d)  # the TypeError for other densities
+    positivity_margin(d)  # the TypeError for other densities
     d._check_generation(driver)
     (lo, hi), mass = d._bracket, d._mass
-    floor, err = margin / mass, d._cdf_error
     coords = np.empty((N, d._point_dim))
 
     def block(start):
         x = Driver(driver.kind, driver.offset + start).values(min(_SWEEP_BLOCK, N - start))
         y = x if x.ndim == 1 else x[:, 0]
-        t = _invert_monotone_vec(d.cdf, lambda v: d.density(v) / mass, y, lo, hi, floor, err)
+        t = _invert_monotone_vec(d.cdf, lambda v: d.density(v) / mass, y, lo, hi)
         d._place(t, x, coords[start : start + len(x)])
 
     _map_blocks(block, range(0, N, _SWEEP_BLOCK), threads)

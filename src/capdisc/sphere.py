@@ -79,6 +79,17 @@ def _weight_tail(n, s):
     """I_n(s) = int_s^1 (1-t^2)^((n-3)/2) dt for s in [-1, 1); see cap_measure."""
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= _MAX_DIM:
         raise ValueError(f"dimension must be >= 2 (an integer <= {_MAX_DIM}), got {n!r}")
+    if n >= 4 and s >= 0.5:
+        # The positive series t_1 + t_2 + ..., t_1 = s r^((n-1)/2) / (n-1) and
+        # t_{j+1} = t_j r (n+2j-2) / (n+2j-1): accurate relative to I_n(s),
+        # where the recursion below cancels.  The ratio is below r <= 3/4.
+        r = (1.0 - s) * (1.0 + s)
+        term, total, j = s * r ** (0.5 * (n - 1)) / (n - 1), 0.0, 1
+        while total + term != total:
+            total += term
+            term *= r * (n + 2 * j - 2) / (n + 2 * j - 1)
+            j += 1
+        return total
     i = math.acos(s) if n % 2 == 0 else 1.0 - s
     r = 1.0 - s * s
     for q in range(4 + n % 2, n + 1, 2):
@@ -92,9 +103,10 @@ def cap_measure(n: int, s: float) -> float:
     mu(s) = I_n(s) / W(n), with W(n) = I_n(-1).  From I_2 = arccos(s) or
     I_3 = 1 - s, integration by parts steps n by 2 up to an integer n <= 10^5:
     I_q = ((q-3) I_{q-2} - s (1-s^2)^((q-3)/2)) / (q-2).  Taken at |s| and
-    reflected, so mu(0) = 1/2 and mu(-s) = 1 - mu(s) exactly.  The error is
-    absolute, a few 2^-53: a cap of measure below about 1e-15 may read as 0
-    or slightly negative.
+    reflected, so mu(0) = 1/2 and mu(-s) = 1 - mu(s) exactly.  The error of
+    that recursion is absolute, a few 2^-53, so for n >= 4 and |s| >= 1/2 a
+    positive series of I_n takes its place: there a small cap's measure is
+    accurate relative to itself, never negative, and falls as |s| grows.
     """
     mass = _weight_tail(n, -1.0)
     if not -1.0 < s < 1.0:

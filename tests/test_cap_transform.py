@@ -1,6 +1,7 @@
 """Tests for the cap transform eigenvalues and the freak mechanism."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,17 +194,61 @@ def unfolded_quadrature(n, k, theta_lo, theta_hi, order):
 
 
 def test_shared_quadrature_body_keeps_every_bit():
+    # funk_hecke_lambda runs the quadrature for an explicit order only;
+    # odd_mean_zero_check for its default order too.
     degrees = (0, 1, 2, 3, 8, 21, 40, 99, 157, MAX_DEGREE)
-    orders = (None, 1, 40, 1600)
+    orders = (1, 40, 1600)
     for n in range(2, 13):
         freak = [float(r) for r in legendre_roots(n + 2, 2) if r > 0.0]
         heights = [-0.999, 0.0, 0.999, *freak]
         funk_hecke_lambda.cache_clear()
         new = [funk_hecke_lambda(n, k, s, order) for k in degrees for s in heights for order in orders]
-        new += [odd_mean_zero_check(n, k, order) for k in degrees if k % 2 for order in orders]
+        new += [odd_mean_zero_check(n, k, order) for k in degrees if k % 2 for order in (None, *orders)]
         funk_hecke_lambda.cache_clear()
         old = [unfolded_quadrature(n, k, 0.0, float(np.arccos(s)), order)
                for k in degrees for s in heights for order in orders]
         old += [unfolded_quadrature(n, k, 0.0, np.pi, order)
-                for k in degrees if k % 2 for order in orders]
+                for k in degrees if k % 2 for order in (None, *orders)]
         assert np.array_equal(np.array(new).view(np.int64), np.array(old).view(np.int64)), n
+
+
+def exact_legendre_s2(k_max, s):
+    """P_0(s), ..., P_{k_max}(s) on S^2 by the three-term recurrence in exact
+    rationals."""
+    p = [Fraction(1), s]
+    for j in range(1, k_max):
+        p.append(((2 * j + 1) * s * p[j] - j * p[j - 1]) / (j + 1))
+    return p
+
+
+def test_closed_form_on_s2_against_exact_rationals():
+    # On S^2, lambda_k(s) = (P_{k-1}(s) - P_{k+1}(s)) / (2 (2k + 1)), a
+    # rational for a float s.  Measured: within 0.05 units of 2^-53.
+    heights = [Fraction(j, 64) for j in range(-63, 64)] + [Fraction(0.999), Fraction(-0.999),
+                                                           Fraction(S5)]
+    for s in heights:
+        p = exact_legendre_s2(41, s)
+        for k in range(1, 41):
+            exact = (p[k - 1] - p[k + 1]) / (2 * (2 * k + 1))
+            got = Fraction(funk_hecke_lambda(3, k, float(s)))
+            assert abs(got - exact) <= Fraction(1, 2**55), (k, s)
+
+
+def test_closed_form_against_order_1600_quadrature():
+    # The two paths agree to 1.22e-13 (measured); the gap is the order-1600
+    # rule's own rounding near s = -1, where lambda_0 is close to 1.
+    heights = (-0.999, -0.7, -0.3, 0.0, 0.2, 0.45, 0.8, 0.99, 0.999)
+    for n in range(3, 13):
+        for k in range(41):
+            for s in heights:
+                gap = abs(funk_hecke_lambda(n, k, s) - funk_hecke_lambda(n, k, s, order=1600))
+                assert gap <= 2e-13, (n, k, s, gap)
+
+
+def test_closed_form_degree_zero_is_cap_measure_at_high_dimension():
+    # Quadrature of order 40 cannot resolve the sin^(n-2) peak here: at
+    # n = 10^5 it read 6.9e-4 for mu(0.01) = 7.8e-4.
+    for n in (10**3, 10**4, 10**5):
+        for s in (-0.3, 0.0, 0.01, 0.2):
+            assert funk_hecke_lambda(n, 0, s) == cap_measure(n, s), (n, s)
+    assert funk_hecke_lambda(10**5, 0, 0.01) == pytest.approx(7.8255237569e-4, rel=1e-9)

@@ -1,6 +1,7 @@
 """Tests for dimension-d Legendre polynomials, roots and freak heights."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,38 +199,49 @@ def test_array_polish_bit_identical_to_scalar_loop():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, k)
 
 
-# The tolerance under which the former freak_heights merged two heights.
-DEDUP_TOL = 1e-10
+def exact_sign(d, k, t):
+    """Sign of the dimension-d Legendre polynomial of degree k >= 1 at the
+    float t, exactly.  With t = a/b in lowest terms, P_j = N_j / (b^j C_j)
+    for the positive C_j = (d-1) d ... (j+d-3), so the integers
+    N_{j+1} = (2j+d-2) a N_j - j (j+d-3) b^2 N_{j-1} (with j+d-3 read as 1
+    at j = 1) have the signs of the P_j.  b is a power of two, so b^2 is a
+    shift."""
+    q = Fraction(t)
+    a, shift = q.numerator, 2 * (q.denominator.bit_length() - 1)
+    n_prev, n = 1, a
+    for j in range(1, k):
+        r = 1 if j == 1 else j + d - 3
+        n_prev, n = n, (2 * j + d - 2) * a * n - ((j * r * n_prev) << shift)
+    return (n > 0) - (n < 0)
 
 
-def _per_degree_freak_heights(n, max_degree):
-    # The former freak_heights: one legendre_roots call per even degree, and
-    # heights closer than DEDUP_TOL merged to their lowest degree.
-    found = []
-    for deg in range(2, max_degree + 1, 2):
-        for r in legendre_roots(n + 2, deg):
-            if r > 0.0:
-                found.append((float(r), deg))
-    found.sort(key=lambda e: e[0])
-    merged = []
-    for h, deg in found:
-        if merged and abs(h - merged[-1][0]) < DEDUP_TOL:
-            if deg < merged[-1][1]:
-                merged[-1] = (h, deg)
-            continue
-        merged.append((h, deg))
-    return merged
+# Each freak height lies within this many ulps of a true root: at most 5
+# were needed for n = 3, 4, 5 up to degree 200.
+FREAK_ULPS = 8
 
 
-def test_freak_heights_bit_identical_to_per_degree_roots():
-    for n in (3, 4, 5):
-        for max_degree in (2, 4, 6, 50, 120, 200):
-            want = _per_degree_freak_heights(n, max_degree)
-            got = freak_heights(n, max_degree).entries
-            assert [e.degree for e in got] == [deg for _, deg in want], (n, max_degree)
-            got_h = np.array([e.height for e in got])
-            want_h = np.array([h for h, _ in want])
-            assert np.array_equal(got_h.view(np.int64), want_h.view(np.int64)), (n, max_degree)
+@pytest.mark.parametrize("n, max_degree", [(3, 200), (4, 40), (5, 120)])
+def test_freak_heights_bracket_a_root_within_a_few_ulps(n, max_degree):
+    # The polynomial of each height's degree, evaluated exactly at floats
+    # FREAK_ULPS ulps on either side of the height, changes sign.
+    for e in freak_heights(n, max_degree).entries:
+        below = above = e.height
+        for _ in range(FREAK_ULPS):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+        signs = exact_sign(n + 2, e.degree, below) * exact_sign(n + 2, e.degree, above)
+        assert signs <= 0, (n, e)
+
+
+def test_exact_sign_matches_fraction_recurrence():
+    rng = np.random.default_rng(8)
+    for d in (5, 6, 7):
+        for k in (1, 2, 5, 17):
+            for t in rng.uniform(-1.0, 1.0, 20):
+                t = Fraction(float(t))
+                p_prev, p = Fraction(1), t
+                for j in range(1, k):
+                    p_prev, p = p, ((2 * j + d - 2) * t * p - j * p_prev) / (j + d - 2)
+                assert exact_sign(d, k, float(t)) == (p > 0) - (p < 0), (d, k, t)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 55])

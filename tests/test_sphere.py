@@ -194,6 +194,23 @@ def test_cap_measure_of_odd_dimensions_against_exact_rationals():
             assert abs(Fraction(cap_measure(n, s)) - exact) <= 4 * Fraction(1, 2**53), (n, s)
 
 
+def test_small_caps_are_nonnegative_monotone_and_relatively_accurate():
+    # For n >= 4 and s >= 1/2 a positive series gives mu(s).  The recursion
+    # it replaces there read 21 negatives at n = 12 and 9,111 at n = 200 on
+    # this grid.
+    heights = np.linspace(0.5, 1.0, 20001, endpoint=False).tolist()
+    for n in (12, 200):
+        mu = np.array([cap_measure(n, s) for s in heights])
+        assert np.all(mu >= 0.0) and np.all(np.diff(mu) <= 0.0), n
+    # Relative error against the exact rationals of odd n: at most 2.7e-15
+    # measured (bound 3.6e-15), at caps down to 2.5e-116.
+    for n in (5, 9, 13, 41):
+        mass = _tail_by_binomials(n, -1)
+        for s in [j / 64 for j in range(32, 64)] + [0.999, 1.0 - 2.0**-20]:
+            exact = _tail_by_binomials(n, s) / mass
+            assert abs(Fraction(cap_measure(n, s)) / exact - 1) <= Fraction(1, 2**48), (n, s)
+
+
 def test_closed_forms_against_scipy_beta_and_betainc():
     # scipy as an oracle for n = 2..12.  W(n) agrees with beta(1/2, (n-1)/2)
     # within 2 ulp (measured: 2).  betainc itself errs by up to about 1300
