@@ -36,7 +36,7 @@ from .discrepancy import (
     telescoping_check,
 )
 from .orthopoly import freak_heights
-from .sphere import cap_measure, load_points, save_points
+from .sphere import cap_measure, load_points, save_points, source_unchanged
 
 
 def _json_fragment(obj) -> str:
@@ -129,45 +129,27 @@ def _cmd_eigenvalue(args) -> int:
     return 0
 
 
-# The point set the last `disc` loaded, as (BLAKE2b digest of the file's
-# bytes, PointSet), or None.  main drops it before any other command.
+# The point set the last `disc` read through the array reader, or None.
+# main drops it before any other command.
 _held = None
 
 
-def _file_digest(path) -> bytes:
-    # _blake2 rather than hashlib, whose import loads OpenSSL; imported here
-    # so that importing the CLI does not load it.
-    from _blake2 import blake2b
-
-    h = blake2b(digest_size=32)
-    buf = bytearray(1 << 20)
-    with open(path, "rb") as fh, memoryview(buf) as mv:
-        while got := fh.readinto(mv):
-            h.update(mv[:got])
-    return h.digest()
-
-
 def _points(path, threads):
-    """load_points(path, threads), or the held set while the file's bytes
-    are those it was read from.
+    """load_points(path, threads), or the held set while the file holds the
+    bytes it was parsed from (sphere.source_unchanged).
 
     load_points' result does not depend on `threads` and its coords are
-    read-only, so the held set gives the bits of a fresh parse.  A file the
-    digest pass cannot read, and a thread count below 1, go to load_points,
-    so every error is the one a fresh parse raises.
+    read-only, so the held set gives the bits of a fresh parse.  A file that
+    cannot be read, or no longer holds those bytes, goes to load_points, so
+    every error is the one a fresh parse raises.
     """
     global _held
-    try:
-        digest = _file_digest(path)
-    except OSError:
-        digest = None
-    held = _held
-    if held is not None and threads >= 1 and held[0] == digest:
-        return held[1]
-    held = _held = None  # one set alive at a time
+    if _held is not None and source_unchanged(path, _held.source):
+        return _held
+    _held = None  # one set alive at a time
     ps = load_points(path, threads=threads)
-    if digest is not None:
-        _held = (digest, ps)
+    if ps.source is not None:
+        _held = ps
     return ps
 
 
@@ -312,6 +294,8 @@ def main(argv=None) -> int:
         # Resolved per call, so the shared parser never freezes it.
         args.threads = _default_threads()
     try:
+        if args.threads < 1:
+            raise ValueError(f"need at least one thread, got threads={args.threads}")
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"capdisc: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -155,7 +156,12 @@ class PointSet:
     """An ordered finite prefix of a sequence of unit vectors.
 
     Stores coordinates as an (N, n) read-only array; order is significant.
+    `source` is None, or for a set load_points read from a file the
+    (start, end, BLAKE2b digest) of each span of the file's bytes it parsed;
+    source_unchanged tells whether a file still holds those bytes.
     """
+
+    source = None
 
     def __init__(self, coords, provenance: Provenance):
         self._own(np.array(coords, dtype=float), provenance)
@@ -446,11 +452,15 @@ def load_points(path, threads: int = 1) -> PointSet:
     writes is parsed as arrays (_read_layout), its chunks on up to
     `threads` (>= 1) threads; any other body, and every body on a platform
     without a 64-bit long double, goes to np.loadtxt.  The chunks do not
-    depend on `threads`, so neither does the result.
+    depend on `threads`, so neither does the result.  The array reader also
+    records the set's `source`.
     """
     read = _read_layout(path, threads)
     if read is not None:
-        return PointSet._adopt(*read)
+        coords, provenance, source = read
+        ps = PointSet._adopt(coords, provenance)
+        ps.source = source
+        return ps
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         parsed = _parse_header(header)
@@ -493,8 +503,8 @@ _NUMBER_RE = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
 def _read_layout(path, threads=1):
-    """(coords, provenance) read from `path` when every body row is `dim`
-    fields of _NUMBER_RE split by "," and ended by "\n" (the last "\n"
+    """(coords, provenance, source) read from `path` when every body row is
+    `dim` fields of _NUMBER_RE split by "," and ended by "\n" (the last "\n"
     optional) under an ASCII header; None for any other file, which
     np.loadtxt then reads.
 
@@ -502,10 +512,18 @@ def _read_layout(path, threads=1):
     last newline of each, counting the rows of every piece.  The pieces are
     then parsed through _map_blocks, each into its own rows of one (N, n)
     array for PointSet to adopt; one piece that is not in the layout sends
-    the whole file to np.loadtxt.
+    the whole file to np.loadtxt.  `source` spans the header and the pieces,
+    each with the digest of the very bytes parsed; it is None where the
+    interpreter lacks _blake2.
     """
     if np.finfo(np.longdouble).nmant < 63:
         return None
+    try:
+        # _blake2 rather than hashlib, whose import loads OpenSSL; imported
+        # here so that importing the package does not load it.
+        from _blake2 import blake2b
+    except ImportError:
+        blake2b = None
     chunk = _CSV_CHUNK
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -536,10 +554,11 @@ def _read_layout(path, threads=1):
     if dim < 2 or rows == 0 or 2 * rows * dim > end - pieces[0][0] + 1:
         return None
     coords = np.empty((rows, dim))
+    digests = [None] * len(pieces)
     failed = []  # one failed piece sends the file to np.loadtxt: stop early
 
-    def parse(piece):
-        start, end, row, n = piece
+    def parse(job):
+        i, (start, end, row, n) = job
         if failed:
             return False
         # _DIGIT_SLOTS bytes of "0" (every field then has 24 bytes before
@@ -550,20 +569,58 @@ def _read_layout(path, threads=1):
         with open(path, "rb") as fh, memoryview(buf) as mv:
             fh.seek(start)
             got = fh.readinto(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + size])
+            if blake2b is not None:
+                digests[i] = blake2b(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + got], digest_size=32).digest()
         cut = _DIGIT_SLOTS + size
         if buf[cut - 1] != ord("\n"):
             buf[cut] = ord("\n")
             cut += 1
         vals = _parse_fields(buf, cut, dim) if got == size else None
         if vals is None or vals.size != n * dim:
-            failed.append(piece)
+            failed.append(i)
             return False
         coords[row : row + n] = vals.reshape(n, dim)
         return True
 
-    if not all(_map_blocks(parse, pieces, threads)):
+    if not all(_map_blocks(parse, enumerate(pieces), threads)):
         return None
-    return coords, provenance
+    source = None
+    if blake2b is not None:
+        source = ((0, pieces[0][0], blake2b(line, digest_size=32).digest()),
+                  *((start, end, d) for (start, end, _, _), d in zip(pieces, digests)))
+    return coords, provenance, source
+
+
+def source_unchanged(path, source) -> bool:
+    """True when the file at `path` holds the bytes a PointSet's `source`
+    spans, so that load_points would read the same set from it; False for
+    a file that cannot be read.  The spans run end to end from byte 0, so
+    one sequential pass reads them; it stops at the first span whose
+    digest differs.  It reads 64 KiB at a time: a span-sized (256 KiB)
+    buffer stays resident after the check and raises the peak memory of
+    the cap scan that follows.
+    """
+    from _blake2 import blake2b  # a source exists only where this imports
+
+    buf = bytearray(1 << 16)
+    try:
+        with open(path, "rb") as fh, memoryview(buf) as mv:
+            if os.fstat(fh.fileno()).st_size != source[-1][1]:
+                return False
+            for start, end, digest in source:
+                h = blake2b(digest_size=32)
+                left = end - start
+                while left:
+                    got = fh.readinto(mv[: min(left, len(buf))])
+                    if not got:
+                        return False
+                    h.update(mv[:got])
+                    left -= got
+                if h.digest() != digest:
+                    return False
+    except OSError:
+        return False
+    return True
 
 
 def _parse_fields(buf, cut, dim):

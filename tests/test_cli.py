@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import capdisc.cli
+import capdisc.sphere
 from capdisc import (
     Driver,
     PlanarRationalDensity,
@@ -703,7 +704,7 @@ def test_a_malformed_file_holds_nothing(tmp_path, capsys, monkeypatch):
     assert loads == [str(bad), str(good), str(bad), str(good)]
 
 
-def test_other_commands_release_the_held_set(tmp_path, capsys, monkeypatch):
+def test_other_commands_release_the_held_set(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text("# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
     disc = ["disc", "--in", str(path), "--family", "circle", "--no-timestamp"]
@@ -712,10 +713,77 @@ def test_other_commands_release_the_held_set(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert (capdisc.cli._held is None) == (argv[0] != "disc"), argv
     assert loads == [str(path)] * 2
+
+
+def test_held_set_is_keyed_by_the_bytes_it_parsed(tmp_path, monkeypatch):
+    # The file is rewritten between the reader's first pass and its parse:
+    # the set holds the rewritten values, so it must not be reused once the
+    # file holds the first bytes again.
+    path = tmp_path / "p.csv"
+    first = "# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n"
+    second = "# dim=2 generator=hand seed=0\n1,0\n0,1\n0,-1\n"
+    path.write_text(first)
+    map_blocks = capdisc.sphere._map_blocks
+    rewrites = []
+
+    def rewrite_once(*args):
+        if not rewrites:
+            rewrites.append(path.write_text(second))
+        return map_blocks(*args)
+
+    monkeypatch.setattr(capdisc.sphere, "_map_blocks", rewrite_once)
+    argv = ["disc", "--in", str(path), "--family", "circle"]
+    out = tmp_path / "r.json"
+    loads = count_loads(monkeypatch)
+    raced = disc_report(argv, out)
+    path.write_text(first)
+    again = disc_report(argv, out)
+    assert loads == [str(path)] * 2
+    capdisc.cli._held = None
+    assert again == disc_report(argv, out)
+    path.write_text(second)
+    capdisc.cli._held = None
+    assert raced == disc_report(argv, out) != again
+
+
+def test_sets_without_a_source_are_not_held(tmp_path, monkeypatch):
+    # CRLF rows go to np.loadtxt, and an interpreter without _blake2 digests
+    # nothing: both read the file on every disc and report the same bytes.
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    crlf.write_bytes(b"# dim=2 generator=hand seed=0\r\n1,0\r\n0,1\r\n-1,0\r\n")
+    lf.write_bytes(b"# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
+    out = tmp_path / "r.json"
+    reports = []
+    loads = count_loads(monkeypatch)
+    for path in (crlf, crlf, lf):
+        reports.append(disc_report(["disc", "--in", str(path), "--family", "circle"], out))
+        assert (capdisc.cli._held is None) == (path == crlf)
+    with monkeypatch.context() as mp:
+        mp.setitem(sys.modules, "_blake2", None)  # the import raises ImportError
+        capdisc.cli._held = None
+        for _ in range(2):
+            reports.append(disc_report(["disc", "--in", str(lf), "--family", "circle"], out))
+            assert capdisc.cli._held is None
+    assert loads == [str(crlf)] * 2 + [str(lf)] * 3
+    assert all(code == 0 for code, _ in reports)
+    assert len({json.dumps(json.loads(text)["result"]) for _, text in reports}) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "--family", "circle"],  # the CRLF file goes to np.loadtxt, which has no threads
+    ["disc", "--family", "arc-fixed", "--a", "0.3"],
+    ["freak-heights", "--n", "3", "--max-degree", "6"],
+    ["eigenvalue", "--n", "3", "--k", "1", "--s", "0.1"],
+])
+def test_fewer_than_one_thread_exits_two_for_every_command(tmp_path, capsys, argv):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"# dim=2 generator=hand seed=0\r\n1,0\r\n0,1\r\n-1,0\r\n")
+    if argv[0] == "disc":
+        argv = argv + ["--in", str(path)]
+    assert main(argv + ["--threads", "1"]) == 0
     capsys.readouterr()
-    # A thread count load_points rejects is rejected with a set held too.
     for threads in ("0", "-1"):
-        code = main(disc + ["--threads", threads])
+        code = main(argv + ["--threads", threads])
         captured = capsys.readouterr()
         assert_one_error_line(code, captured)
         assert captured.err == f"capdisc: error: need at least one thread, got threads={threads}\n"

@@ -754,6 +754,32 @@ def test_import_of_the_cli_leaves_fractions_out():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_source_spans_the_bytes_the_reader_parsed(tmp_path, monkeypatch, threads):
+    from _blake2 import blake2b
+
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", 64)  # many pieces
+    path = tmp_path / "p.csv"
+    save_points(generate_uniform(2, 50, "random", seed=1), path)
+    data = path.read_bytes()
+    source = load_points(path, threads=threads).source
+    # The header, then one span per piece, end to end over the whole file.
+    assert len(source) > 10 and source[0][:2] == (0, data.index(b"\n") + 1)
+    assert [start for start, _, _ in source[1:]] == [end for _, end, _ in source[:-1]]
+    assert source[-1][1] == len(data)
+    assert all(d == blake2b(data[start:end], digest_size=32).digest() for start, end, d in source)
+    assert sphere.source_unchanged(path, source)
+    i = data.index(b"5", len(data) // 2)
+    for changed in (data[:i] + b"6" + data[i + 1 :], data + b"\n", data[:-1]):
+        path.write_bytes(changed)
+        assert not sphere.source_unchanged(path, source)
+    path.unlink()
+    assert not sphere.source_unchanged(path, source)
+    # np.loadtxt's sets have no source.
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    assert load_points(path, threads=threads).source is None
+
+
 def test_save_points_memory_does_not_grow_with_n():
     peaks = []
     for N in (1 << 17, 1 << 20):
