@@ -1,9 +1,12 @@
 """Command-line surface: reproducible generation, transforms and discrepancy
 runs with file-based I/O.
 
-Every JSON output embeds the full configuration; numbers are serialized with
-17 significant digits so doubles round-trip losslessly.  Exit codes: 0
-success, 1 failed verification, 2 configuration errors.
+Every command takes --json and --no-timestamp; gen also takes --out and
+--threads, disc --threads.  Every JSON report embeds the flags as given
+(``threads`` is null when defaulted), and floats are written in Python's
+shortest round-trip form, so each double, -0.0 included, reads back as the
+same float.  Exit codes: 0 success, 1 failed verification, 2 configuration
+errors.
 """
 
 from __future__ import annotations
@@ -39,31 +42,9 @@ from .orthopoly import freak_heights
 from .sphere import cap_measure, load_points, save_points, source_unchanged
 
 
-def _json_fragment(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite number in output: {x}")
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_fragment(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_report(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    return _json_fragment(obj) + "\n"
+    """Deterministic JSON with floats in their shortest round-trip form."""
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def _emit(args, command, result) -> None:
@@ -88,7 +69,25 @@ def _parse_axis(text, n):
     return np.array(parts)
 
 
+def _default_threads() -> int:
+    """CPUs this process may run on, where the platform reports them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _threads(args) -> int:
+    """--threads as given, else the CPUs this process may run on.  Resolved
+    per call, so neither the shared parser nor the report's config holds the
+    machine's core count."""
+    threads = _default_threads() if args.threads is None else args.threads
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got threads={threads}")
+    return threads
+
+
 def _cmd_gen(args) -> int:
+    threads = _threads(args)
     driver_kind = args.driver
     if args.density == "planar":
         if args.p is None or args.q is None:
@@ -102,11 +101,10 @@ def _cmd_gen(args) -> int:
         density = ZonalDensity(dim=args.n, degree=args.k, coefficient=args.c, axis=axis)
         driver = Driver(driver_kind or "halton_2_3", offset=args.seed)
 
-    ps = generate_qud(density, args.N, driver, threads=args.threads)
-    out = args.out or "points.csv"
-    save_points(ps, out)
+    ps = generate_qud(density, args.N, driver, threads=threads)
+    save_points(ps, args.out)
     result = {
-        "points_file": out,
+        "points_file": args.out,
         "N": ps.size,
         "dim": ps.dim,
         "generator": ps.provenance.generator,
@@ -154,15 +152,16 @@ def _points(path, threads):
 
 
 def _cmd_disc(args) -> int:
+    threads = _threads(args)
     if args.family in ("arc-fixed", "telescope") and args.a is None:
         raise ValueError(f"family {args.family} needs --a")
     if args.family == "cap-fixed" and args.s is None:
         raise ValueError("family cap-fixed needs --s")
-    ps = _points(args.infile, args.threads)
+    ps = _points(args.infile, threads)
     if args.family == "arc-fixed":
-        res = arc_discrepancy_fixed_length(ps, args.a, threads=args.threads)
+        res = arc_discrepancy_fixed_length(ps, args.a, threads=threads)
     elif args.family == "cap-fixed":
-        res = cap_discrepancy_fixed_height(ps, args.s, args.M, refine=args.refine, threads=args.threads)
+        res = cap_discrepancy_fixed_height(ps, args.s, args.M, refine=args.refine, threads=threads)
     elif args.family == "circle":
         res = circle_discrepancy(ps)
     else:  # telescope
@@ -206,30 +205,24 @@ def _cmd_verify_caps(args) -> int:
     return 0 if passed else 1
 
 
-def _default_threads() -> int:
-    """CPUs this process may run on, where the platform reports them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="primary output file")
     common.add_argument("--json", default=None, help="write the JSON report here instead of stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the cap scan, the arc sweep, gen and reading "
-                             "point files (default: the CPUs this process may run on); the cap "
-                             "scan splits the points into runs whose exact counts are summed, the "
-                             "others split fixed blocks, so results do not depend on the thread "
-                             "count")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
+    threaded = argparse.ArgumentParser(add_help=False, parents=[common])
+    threaded.add_argument("--threads", type=int, default=None,
+                          help="worker threads for the cap scan, the arc sweep, gen and reading "
+                               "point files (default: the CPUs this process may run on); the cap "
+                               "scan splits the points into runs whose exact counts are summed, "
+                               "the others split fixed blocks, so results do not depend on the "
+                               "thread count")
 
     parser = argparse.ArgumentParser(prog="capdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a density-uniform point sequence")
+    p_gen = sub.add_parser("gen", parents=[threaded], help="generate a density-uniform point sequence")
+    p_gen.add_argument("--out", default="points.csv", help="points CSV to write (default: points.csv)")
     p_gen.add_argument("--density", choices=("planar", "zonal"), required=True)
     p_gen.add_argument("--p", type=int, default=None)
     p_gen.add_argument("--q", type=int, default=None)
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--s", type=float, required=True)
     p_ev.set_defaults(func=_cmd_eigenvalue)
 
-    p_disc = sub.add_parser("disc", parents=[common], help="discrepancy of a stored point set")
+    p_disc = sub.add_parser("disc", parents=[threaded], help="discrepancy of a stored point set")
     p_disc.add_argument("--in", dest="infile", required=True, help="points CSV")
     p_disc.add_argument("--family", choices=("arc-fixed", "cap-fixed", "circle", "telescope"),
                         required=True)
@@ -290,12 +283,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     if args.command != "disc":
         _held = None  # other commands need the memory, not the points
-    if args.threads is None:
-        # Resolved per call, so the shared parser never freezes it.
-        args.threads = _default_threads()
     try:
-        if args.threads < 1:
-            raise ValueError(f"need at least one thread, got threads={args.threads}")
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"capdisc: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -71,6 +71,14 @@ def test_eigenvalue_seventeen_digit_round_trip(capsys):
     assert doc["result"]["lambda"] == funk_hecke_lambda(3, 3, 0.25)
 
 
+def test_eigenvalue_report_keeps_the_sign_of_zero(capsys):
+    code, doc = run_json(["eigenvalue", "--n", "3", "--k", "2", "--s", "-0.0", "--no-timestamp"],
+                         capsys)
+    assert code == 0
+    for x in (doc["config"]["s"], doc["result"]["s"], doc["result"]["lambda"]):
+        assert type(x) is float and x == 0.0 and math.copysign(1.0, x) == -1.0, doc
+
+
 def test_gen_planar_matches_library(tmp_path, capsys):
     out = tmp_path / "pl.csv"
     summary = tmp_path / "gen.json"
@@ -270,6 +278,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["disc", "--family", "circle"])  # missing required --in
     assert exc.value.code == 2
+    # Only gen writes a points file, so only gen takes --out.
+    for argv in (["disc", "--in", "p.csv", "--family", "circle"],
+                 ["eigenvalue", "--n", "3", "--k", "1", "--s", "0.1"],
+                 ["freak-heights", "--n", "3", "--max-degree", "2"],
+                 ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -401,7 +417,9 @@ def test_gen_seed_whose_last_index_is_the_int64_maximum(tmp_path, density):
     ["gen", "--density", "zonal", "--k", "201", "--c", "0.5", "--N", "10"],
 ], ids=["eigenvalue", "verify-caps", "gen"])
 def test_degree_past_max_degree_exits_two(tmp_path, capsys, command):
-    code = main([*command, "--out", str(tmp_path / "z.csv"), "--no-timestamp"])
+    if command[0] == "gen":
+        command = command + ["--out", str(tmp_path / "z.csv")]
+    code = main([*command, "--no-timestamp"])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "capdisc: error:" in err and "200" in err
@@ -503,7 +521,7 @@ def test_disc_circle_reports_a_positive_zero_start(tmp_path):
     assert main(["disc", "--in", str(pts), "--family", "circle", "--no-timestamp",
                  "--json", str(out)]) == 0
     text = out.read_text()
-    assert '"theta0": 0,' in text, text
+    assert '"theta0": 0.0,' in text, text
     theta0 = json.loads(text)["result"]["witness"]["theta0"]
     assert theta0 == 0.0 and math.copysign(1.0, theta0) == 1.0
 
@@ -607,20 +625,47 @@ def test_main_builds_one_parser_and_reuses_it(tmp_path, monkeypatch):
     configs = [json.loads(text)["config"] for _, text in reports]
     assert configs[0]["axis"] == "0,1,0" and configs[1]["axis"] == "0,0,1"
     assert [c["threads"] for c in configs[3:5]] == [1, 2]
-    assert configs[5]["threads"] == capdisc.cli._default_threads()
+    assert configs[5]["threads"] is None
     for argv, text in reports:
         proc = run_fresh(f"import capdisc.cli, sys\nsys.exit(capdisc.cli.main({argv!r}))\n",
                          tmp_path)
         assert proc.returncode in (0, 1), proc.stderr
         assert Path(argv[argv.index("--json") + 1]).read_bytes() == text, argv
 
+
+def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
     # The --threads default is resolved on each call, not when the parser
-    # was built.
-    out = tmp_path / "threads.json"
-    for cpus in (3, 5):
+    # was built: the library sees each count, and no report records it.
+    pts = str(tmp_path / "planar.csv")
+    commands = {
+        "gen": ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", pts],
+        "arc": ["disc", "--in", pts, "--family", "arc-fixed", "--a", "0.3"],
+        "circle": ["disc", "--in", pts, "--family", "circle"],
+        "freak": ["freak-heights", "--n", "3", "--max-degree", "6"],
+        "eigen": ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.5"],
+        "verify": ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5, "--M", "100"],
+    }
+    seen = []
+
+    def spy(name, call):
+        def counted(*args, threads):
+            seen.append((name, threads))
+            return call(*args, threads=threads)
+        return counted
+
+    for name in ("generate_qud", "load_points"):
+        monkeypatch.setattr(capdisc.cli, name, spy(name, getattr(capdisc.cli, name)))
+    reports = {}
+    for cpus in (1, 3):
         monkeypatch.setattr(capdisc.cli, "_default_threads", lambda: cpus)
-        assert main(disc + ["--json", str(out), "--no-timestamp"]) == 0
-        assert json.loads(out.read_text())["config"]["threads"] == cpus
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"  # config records the path
+            assert main(argv + ["--json", str(out), "--no-timestamp"]) == 0, argv
+            reports[name, cpus] = out.read_bytes()
+    # Each round's circle reuses the set its arc read.
+    assert seen == [("generate_qud", 1), ("load_points", 1), ("generate_qud", 3), ("load_points", 3)]
+    for name in commands:
+        assert reports[name, 1] == reports[name, 3], name
 
 
 def count_loads(monkeypatch):
@@ -776,10 +821,17 @@ def test_sets_without_a_source_are_not_held(tmp_path, monkeypatch):
     ["eigenvalue", "--n", "3", "--k", "1", "--s", "0.1"],
 ])
 def test_fewer_than_one_thread_exits_two_for_every_command(tmp_path, capsys, argv):
+    if argv[0] != "disc":
+        # Only gen and disc take --threads; the others reject it as a usage error.
+        for threads in ("1", "0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", threads])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        return
     path = tmp_path / "p.csv"
     path.write_bytes(b"# dim=2 generator=hand seed=0\r\n1,0\r\n0,1\r\n-1,0\r\n")
-    if argv[0] == "disc":
-        argv = argv + ["--in", str(path)]
+    argv = argv + ["--in", str(path)]
     assert main(argv + ["--threads", "1"]) == 0
     capsys.readouterr()
     for threads in ("0", "-1"):

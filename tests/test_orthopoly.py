@@ -166,39 +166,6 @@ def test_eigen_vs_scipy():
         legendre_roots(3, 0)
 
 
-def _scalar_polish(d, k, roots):
-    # The per-root Newton loop the array polish replaced, kept as an oracle.
-    def eval_with_derivative(t):
-        p_prev, dp_prev = 1.0, 0.0
-        p, dp = t, 1.0
-        for j in range(1, k):
-            denom = j + d - 2
-            p_next = ((2 * j + d - 2) * t * p - j * p_prev) / denom
-            dp_next = ((2 * j + d - 2) * (p + t * dp) - j * dp_prev) / denom
-            p_prev, dp_prev, p, dp = p, dp, p_next, dp_next
-        return p, dp
-
-    out = np.array(roots, dtype=float)
-    for i, r in enumerate(out):
-        x = float(r)
-        for _ in range(2):
-            p, dp = eval_with_derivative(x)
-            if dp == 0.0:
-                break
-            x = min(1.0, max(-1.0, x - p / dp))
-        out[i] = x
-    return out
-
-
-def test_array_polish_bit_identical_to_scalar_loop():
-    for d in (3, 4, 5, 7):
-        for k in (1, 2, 3, 4, 9, 24, 63, 128, 200):
-            raw = _roots_eigen(d, k)
-            got = _newton_polish(d, k, raw)
-            want = _scalar_polish(d, k, raw)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (d, k)
-
-
 def exact_sign(d, k, t):
     """Sign of the dimension-d Legendre polynomial of degree k >= 1 at the
     float t, exactly.  With t = a/b in lowest terms, P_j = N_j / (b^j C_j)
@@ -215,21 +182,33 @@ def exact_sign(d, k, t):
     return (n > 0) - (n < 0)
 
 
-# Each freak height lies within this many ulps of a true root: at most 5
-# were needed for n = 3, 4, 5 up to degree 200.
+# Each freak height and each root lies within this many ulps of a true
+# root: at most 5 were needed for the freak heights of n = 3, 4, 5 up to
+# degree 200, and at most 4 for the roots below.
 FREAK_ULPS = 8
+
+
+def brackets_a_root(d, k, t):
+    """Whether the dimension-d Legendre polynomial of degree k, evaluated
+    exactly at the floats FREAK_ULPS ulps on either side of t, changes sign
+    (or vanishes), so that t lies within FREAK_ULPS ulps of a true root."""
+    below = above = t
+    for _ in range(FREAK_ULPS):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+    return exact_sign(d, k, below) * exact_sign(d, k, above) <= 0
 
 
 @pytest.mark.parametrize("n, max_degree", [(3, 200), (4, 40), (5, 120)])
 def test_freak_heights_bracket_a_root_within_a_few_ulps(n, max_degree):
-    # The polynomial of each height's degree, evaluated exactly at floats
-    # FREAK_ULPS ulps on either side of the height, changes sign.
     for e in freak_heights(n, max_degree).entries:
-        below = above = e.height
-        for _ in range(FREAK_ULPS):
-            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
-        signs = exact_sign(n + 2, e.degree, below) * exact_sign(n + 2, e.degree, above)
-        assert signs <= 0, (n, e)
+        assert brackets_a_root(n + 2, e.degree, e.height), (n, e)
+
+
+def test_roots_bracket_a_root_within_a_few_ulps():
+    for d in (3, 4, 5, 7):
+        for k in (1, 2, 3, 4, 9, 24, 63, 128, 200):
+            for r in legendre_roots(d, k):
+                assert brackets_a_root(d, k, float(r)), (d, k, r)
 
 
 def test_exact_sign_matches_fraction_recurrence():
