@@ -7,6 +7,10 @@ Every command takes --json and --no-timestamp; gen also takes --out and
 shortest round-trip form, so each double, -0.0 included, reads back as the
 same float.  Exit codes: 0 success, 1 failed verification, 2 configuration
 errors.
+
+main holds the point set that the last gen wrote or disc parsed, and a
+later disc in the same process reuses it, with the bits of a fresh parse,
+while the file still holds those bytes.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ def _threads(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    global _held
     threads = _threads(args)
     driver_kind = args.driver
     if args.density == "planar":
@@ -102,7 +107,9 @@ def _cmd_gen(args) -> int:
         driver = Driver(driver_kind or "halton_2_3", offset=args.seed)
 
     ps = generate_qud(density, args.N, driver, threads=threads)
-    save_points(ps, args.out)
+    ps.source = save_points(ps, args.out)
+    if ps.source is not None:
+        _held = ps  # the bits load_points would read back from args.out
     result = {
         "points_file": args.out,
         "N": ps.size,
@@ -127,22 +134,25 @@ def _cmd_eigenvalue(args) -> int:
     return 0
 
 
-# The point set the last `disc` read through the array reader, or None.
-# main drops it before any other command.
+# The point set the last `gen` wrote or `disc` read through the array
+# reader, or None.  main drops it before every other command, and before
+# gen generates.
 _held = None
 
 
 def _points(path, threads):
     """load_points(path, threads), or the held set while the file holds the
-    bytes it was parsed from (sphere.source_unchanged).
+    bytes it was written or parsed from (sphere.source_unchanged).
 
     load_points' result does not depend on `threads` and its coords are
-    read-only, so the held set gives the bits of a fresh parse.  A file that
-    cannot be read, or no longer holds those bytes, goes to load_points, so
-    every error is the one a fresh parse raises.
+    read-only, so the held set gives the bits of a fresh parse.  So does a
+    set gen wrote: ".17g" round-trips every double, and generate_qud's rows
+    are already normalized, so PointSet leaves a parse of them as it is.  A
+    file that cannot be read, or no longer holds those bytes, goes to
+    load_points, so every error is the one a fresh parse raises.
     """
     global _held
-    if _held is not None and source_unchanged(path, _held.source):
+    if _held is not None and source_unchanged(path, _held.source, threads=threads):
         return _held
     _held = None  # one set alive at a time
     ps = load_points(path, threads=threads)
@@ -282,7 +292,7 @@ def main(argv=None) -> int:
     global _held
     args = _shared_parser().parse_args(argv)
     if args.command != "disc":
-        _held = None  # other commands need the memory, not the points
+        _held = None  # gen and the other commands need the memory, not the points
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

@@ -63,15 +63,6 @@ class TelescopeResult:
     rhs: float
 
 
-def _count_ranks(psi_sorted, lo, hi, wrapped):
-    # Points in [lo, hi), or in [lo, 1) and [0, hi) where wrapped, by rank
-    # differences on the sorted turns; exact integers, summed in place.
-    counts = np.searchsorted(psi_sorted, hi, side="left")
-    counts -= np.searchsorted(psi_sorted, lo, side="left")
-    np.add(counts, psi_sorted.size, out=counts, where=wrapped)
-    return counts
-
-
 def _two_sum(x, y):
     # Knuth's TwoSum: s = fl(x + y) and the exact error
     # (x - (s - y_part)) + (y - y_part) = (x + y) - s, in three arrays.
@@ -120,10 +111,12 @@ def arc_discrepancy_fixed_length(ps: PointSet, a: float, threads: int = 1) -> Di
 
     In turns, the count of [t, t + a) is constant on each piece (b, b'] of
     the circle cut at the 2N breakpoints psi_i and psi_i - a, so the sweep
-    counts every arc starting at a breakpoint.  Each count is two exact
-    rank queries on the sorted turns: arc ends are carried with their
-    TwoSum error, so no float rounding or tolerance enters the count
-    (O(N log N): one sort plus vectorized rank queries).  The breakpoints
+    counts every arc starting at a breakpoint.  Each count is the
+    difference of two exact ranks in the sorted turns: a breakpoint's own
+    rank is its index there (that of the first of its ties), and its arc
+    end, carried with its TwoSum error, takes a binary search, so no float
+    rounding or tolerance enters the count (O(N log N): one sort plus
+    vectorized rank queries).  The breakpoints
     are taken in fixed blocks of 2^16, so memory is O(N); `threads` (>= 1)
     evaluate blocks in parallel, and the result does not depend on it.
     """
@@ -141,6 +134,17 @@ def _sorted_turns(ps):
     return psi
 
 
+def _own_ranks(psi, lo, block):
+    # The left ranks of block = psi[lo : lo + block.size] in the sorted psi:
+    # an element's own index, or that of the first of its ties.  Only the
+    # block's first element, whose ties may start in an earlier block, takes
+    # a search.
+    ranks = np.arange(lo, lo + block.size)
+    ranks[1:][block[1:] == block[:-1]] = 0
+    ranks[0] = np.searchsorted(psi, block[0], side="left")
+    return np.maximum.accumulate(ranks, out=ranks)
+
+
 def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> DiscrepancyReport:
     psi = _sorted_turns(ps)
     # Evaluation order: the starts psi_i (arcs [psi_i, psi_i + a)), then the
@@ -151,10 +155,15 @@ def _arc_sweep(ps: PointSet, a: float, family: str, threads: int) -> Discrepancy
         step, lo = job
         block = psi[lo : lo + _SWEEP_BLOCK]
         ends, wrapped = _arc_ends(block, step)
+        # The count of [lo, hi) is rank(hi) - rank(lo), plus N where the arc
+        # wraps; the block's own left ranks come from the sort.
+        counts = np.searchsorted(psi, ends, side="left")
+        own = _own_ranks(psi, lo, block)
         if step > 0.0:
-            counts = _count_ranks(psi, block, ends, wrapped)
+            counts -= own
         else:
-            counts = _count_ranks(psi, ends, block, wrapped)
+            np.subtract(own, counts, out=counts)
+        np.add(counts, psi.size, out=counts, where=wrapped)
         dev = counts / ps.size
         dev -= a
         np.abs(dev, out=dev)
@@ -389,11 +398,12 @@ def telescoping_check(ps: PointSet, a: float, m: int) -> TelescopeResult:
     pos = np.arange(m + 1, dtype=float) * a
     frac = pos - np.floor(pos)
     lo, hi = frac[:-1], frac[1:]
-    wrapped = lo > hi
-    total = int(_count_ranks(psi, lo, hi, wrapped).sum())
-
     # Wrap count of the endpoint walk; equals floor(m*a) in exact arithmetic.
-    k = int(np.count_nonzero(wrapped))
+    k = int(np.count_nonzero(lo > hi))
+    # Points in [lo, hi), or in [lo, 1) and [0, hi) for the k wrapped tiles,
+    # by rank differences on the sorted turns: exact integers.
+    total = int((np.searchsorted(psi, hi, side="left") - np.searchsorted(psi, lo, side="left")).sum())
+    total += k * n
     count0 = int(np.searchsorted(psi, frac[-1], side="left"))
     return TelescopeResult(
         lhs=total / n,

@@ -156,9 +156,10 @@ class PointSet:
     """An ordered finite prefix of a sequence of unit vectors.
 
     Stores coordinates as an (N, n) read-only array; order is significant.
-    `source` is None, or for a set load_points read from a file the
-    (start, end, BLAKE2b digest) of each span of the file's bytes it parsed;
-    source_unchanged tells whether a file still holds those bytes.
+    `source` is None, or for a set that load_points parsed from a file, or
+    that save_points wrote to one, the (start, end, BLAKE2b digest) of each
+    span of the file's bytes, end to end from byte 0; source_unchanged
+    tells whether a file still holds those bytes.
     """
 
     source = None
@@ -305,24 +306,57 @@ def _parse_header(line):
     return (int(m[1]), Provenance(generator=m[2], seed=int(m[3]))) if m else None
 
 
-def save_points(ps: PointSet, path) -> None:
+def _blake2b():
+    # _blake2's constructor, or None where the interpreter lacks it; not
+    # hashlib, whose import loads OpenSSL, and imported per call so that
+    # importing the package does not load it.
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        return None
+    return blake2b
+
+
+def save_points(ps: PointSet, path):
     """Write a point set as CSV: a provenance header, then one row per point
     of its coordinates as format(x, ".17g"), split by "," and ended by "\n".
     The header is one line, so a generator label with "\n" or "\r" is a ValueError.
 
     Rows are formatted _WRITE_ROWS at a time by _format_fields, so the
-    writer's temporaries are O(block) beside the point set.
+    writer's temporaries are O(block) beside the point set.  Returns the
+    (start, end, BLAKE2b digest) of the header and of each block written,
+    end to end over the file, for a PointSet's `source`; None where the
+    interpreter lacks _blake2.  One helper thread digests each block while
+    the next is formatted, with at most one block in flight.
     """
     if "\n" in ps.provenance.generator or "\r" in ps.provenance.generator:
         raise ValueError(f"generator label holds a line break: {ps.provenance.generator!r}")
-    coords = ps.coords
+    blake2b = _blake2b()
+
+    def span(start, data):
+        return start, start + len(data), blake2b(data, digest_size=32).digest()
+
+    spans, pending, end = [], None, 0
+    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as pool:
+        for data in _csv_blocks(ps):  # each formatted while the last is digested
+            fh.write(data)
+            if blake2b is not None:
+                if pending is not None:
+                    spans.append(pending.result())
+                pending = pool.submit(span, end, data)
+            end += len(data)
+        if pending is not None:
+            spans.append(pending.result())
+    return None if blake2b is None else tuple(spans)
+
+
+def _csv_blocks(ps):
+    # save_points' bytes: the header, then _WRITE_ROWS rows at a time.
+    yield f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n".encode()
     seps = np.tile(np.array([44] * (ps.dim - 1) + [10], np.uint8), _WRITE_ROWS)
-    with open(path, "wb") as fh:
-        header = f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n"
-        fh.write(header.encode("utf-8"))
-        for start in range(0, ps.size, _WRITE_ROWS):
-            x = coords[start : start + _WRITE_ROWS].reshape(-1)
-            fh.write(_format_fields(x, seps[: x.size]))
+    for start in range(0, ps.size, _WRITE_ROWS):
+        x = ps.coords[start : start + _WRITE_ROWS].reshape(-1)
+        yield _format_fields(x, seps[: x.size])
 
 
 # Rows per _format_fields call in save_points.  Its temporaries peak at
@@ -518,12 +552,7 @@ def _read_layout(path, threads=1):
     """
     if np.finfo(np.longdouble).nmant < 63:
         return None
-    try:
-        # _blake2 rather than hashlib, whose import loads OpenSSL; imported
-        # here so that importing the package does not load it.
-        from _blake2 import blake2b
-    except ImportError:
-        blake2b = None
+    blake2b = _blake2b()
     chunk = _CSV_CHUNK
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -591,36 +620,46 @@ def _read_layout(path, threads=1):
     return coords, provenance, source
 
 
-def source_unchanged(path, source) -> bool:
+def source_unchanged(path, source, threads: int = 1) -> bool:
     """True when the file at `path` holds the bytes a PointSet's `source`
     spans, so that load_points would read the same set from it; False for
-    a file that cannot be read.  The spans run end to end from byte 0, so
-    one sequential pass reads them; it stops at the first span whose
-    digest differs.  It reads 64 KiB at a time: a span-sized (256 KiB)
-    buffer stays resident after the check and raises the peak memory of
+    a file of another size, a span whose digest differs, a short read or
+    an OSError.  The spans run end to end from byte 0; after the size,
+    contiguous groups of them are checked on up to `threads` (>= 1)
+    threads, each reading 64 KiB at a time: a span-sized buffer (up to
+    256 KiB) stays resident after the check and raises the peak memory of
     the cap scan that follows.
     """
-    from _blake2 import blake2b  # a source exists only where this imports
-
-    buf = bytearray(1 << 16)
+    blake2b = _blake2b()  # a source exists only where this is not None
     try:
-        with open(path, "rb") as fh, memoryview(buf) as mv:
-            if os.fstat(fh.fileno()).st_size != source[-1][1]:
-                return False
-            for start, end, digest in source:
-                h = blake2b(digest_size=32)
-                left = end - start
-                while left:
-                    got = fh.readinto(mv[: min(left, len(buf))])
-                    if not got:
-                        return False
-                    h.update(mv[:got])
-                    left -= got
-                if h.digest() != digest:
-                    return False
+        if os.stat(path).st_size != source[-1][1]:
+            return False
     except OSError:
         return False
-    return True
+    k = min(threads, len(source))
+    groups = [source[i * len(source) // k : (i + 1) * len(source) // k] for i in range(k)]
+
+    def check(group):
+        buf = bytearray(1 << 16)
+        try:
+            with open(path, "rb") as fh, memoryview(buf) as mv:
+                fh.seek(group[0][0])
+                for start, end, digest in group:
+                    h = blake2b(digest_size=32)
+                    left = end - start
+                    while left:
+                        got = fh.readinto(mv[: min(left, len(buf))])
+                        if not got:
+                            return False
+                        h.update(mv[:got])
+                        left -= got
+                    if h.digest() != digest:
+                        return False
+        except OSError:
+            return False
+        return True
+
+    return all(_map_blocks(check, groups, threads))
 
 
 def _parse_fields(buf, cut, dim):

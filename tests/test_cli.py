@@ -653,7 +653,7 @@ def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
             return call(*args, threads=threads)
         return counted
 
-    for name in ("generate_qud", "load_points"):
+    for name in ("generate_qud", "load_points", "source_unchanged"):
         monkeypatch.setattr(capdisc.cli, name, spy(name, getattr(capdisc.cli, name)))
     reports = {}
     for cpus in (1, 3):
@@ -662,8 +662,10 @@ def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
             out = tmp_path / f"{name}.json"  # config records the path
             assert main(argv + ["--json", str(out), "--no-timestamp"]) == 0, argv
             reports[name, cpus] = out.read_bytes()
-    # Each round's circle reuses the set its arc read.
-    assert seen == [("generate_qud", 1), ("load_points", 1), ("generate_qud", 3), ("load_points", 3)]
+    # Each round's arc and circle reuse the set its gen wrote, after a check
+    # of the file on the round's threads.
+    assert seen == [(name, cpus) for cpus in (1, 3)
+                    for name in ("generate_qud", "source_unchanged", "source_unchanged")]
     for name in commands:
         assert reports[name, 1] == reports[name, 3], name
 
@@ -750,14 +752,105 @@ def test_a_malformed_file_holds_nothing(tmp_path, capsys, monkeypatch):
 
 
 def test_other_commands_release_the_held_set(tmp_path, monkeypatch):
-    path = tmp_path / "p.csv"
+    # gen drops the held set and holds the one it wrote; the measure-level
+    # commands drop it and hold nothing.
+    path, out = tmp_path / "p.csv", str(tmp_path / "gen.csv")
     path.write_text("# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
     disc = ["disc", "--in", str(path), "--family", "circle", "--no-timestamp"]
+    gen = ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", out]
     loads = count_loads(monkeypatch)
-    for argv in (disc, disc, ["eigenvalue", "--n", "3", "--k", "1", "--s", "0.1"], disc):
+    for argv in (disc, disc, gen, disc, ["eigenvalue", "--n", "3", "--k", "1", "--s", "0.1"],
+                 gen, ["freak-heights", "--n", "3", "--max-degree", "4"], disc, gen,
+                 ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5, "--M", "50"],
+                 disc):
+        held = capdisc.cli._held
         assert main(argv) == 0
-        assert (capdisc.cli._held is None) == (argv[0] != "disc"), argv
-    assert loads == [str(path)] * 2
+        assert (capdisc.cli._held is None) == (argv[0] not in ("disc", "gen")), argv
+        if argv[0] == "gen":
+            assert capdisc.cli._held is not held
+            assert capdisc.cli._held.source[-1][1] == os.path.getsize(out)
+    assert loads == [str(path)] * 4
+
+
+GEN_ARGS = {
+    "planar": ["--density", "planar", "--p", "1", "--q", "3", "--N", "3000"],
+    "zonal": ["--density", "zonal", "--k", "3", "--c", "0.8", "--N", "2000"],
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("density", sorted(GEN_ARGS))
+def test_gen_holds_the_bits_a_load_of_its_file_gives(tmp_path, density, threads):
+    path = tmp_path / "p.csv"
+    assert main(["gen", *GEN_ARGS[density], "--threads", threads, "--out", str(path)]) == 0
+    held, fresh = capdisc.cli._held, load_points(path, threads=int(threads))
+    assert held.coords.shape == fresh.coords.shape and held.coords.dtype == fresh.coords.dtype
+    assert held.coords.tobytes() == fresh.coords.tobytes()
+    assert held.provenance == fresh.provenance
+    assert not held.coords.flags.writeable
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_disc_after_gen_reports_what_a_fresh_load_does(tmp_path, monkeypatch, threads):
+    planar, zonal = str(tmp_path / "planar.csv"), str(tmp_path / "zonal.csv")
+    runs = {
+        planar: [["--family", "arc-fixed", "--a", "0.3"], ["--family", "circle"],
+                 ["--family", "arc-fixed", "--a", repr(1 / 3)]],
+        zonal: [["--family", "cap-fixed", "--s", "0", "--M", "300", "--refine", "4"],
+                ["--family", "cap-fixed", "--s", S5, "--M", "300"]],
+    }
+    out = tmp_path / "r.json"
+    loads = count_loads(monkeypatch)
+    for path, density in ((planar, "planar"), (zonal, "zonal")):
+        assert main(["gen", *GEN_ARGS[density], "--threads", threads, "--out", path]) == 0
+        held = [disc_report(["disc", "--in", path, *argv, "--threads", threads], out)
+                for argv in runs[path]]
+        assert loads == []
+        fresh = []
+        for argv in runs[path]:
+            capdisc.cli._held = None
+            fresh.append(disc_report(["disc", "--in", path, *argv, "--threads", threads], out))
+        assert held == fresh and all(code == 0 for code, _ in held)
+        loads.clear()
+
+
+def test_disc_after_gen_reads_a_rewritten_file_again(tmp_path, monkeypatch):
+    # The same size and modification time, the last row's coordinates
+    # swapped: only the digests of the bytes tell the two files apart.
+    path = tmp_path / "p.csv"
+    assert main(["gen", *GEN_ARGS["planar"], "--out", str(path)]) == 0
+    written = capdisc.cli._held.coords
+    stat = path.stat()
+    body, last = path.read_bytes()[:-1].rsplit(b"\n", 1)
+    x, y = last.split(b",")
+    path.write_bytes(body + b"\n" + y + b"," + x + b"\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    argv = ["disc", "--in", str(path), "--family", "circle"]
+    out = tmp_path / "r.json"
+    loads = count_loads(monkeypatch)
+    report = disc_report(argv, out)
+    assert loads == [str(path)]
+    assert not np.array_equal(capdisc.cli._held.coords, written)
+    capdisc.cli._held = None
+    assert report == disc_report(argv, out)
+
+
+def test_gen_without_a_file_or_digests_holds_nothing(tmp_path, capsys, monkeypatch):
+    # Each gen first drops the set the one before it wrote.
+    good = str(tmp_path / "p.csv")
+    gen = ["gen", *GEN_ARGS["planar"], "--out"]
+    assert main(gen + [good]) == 0 and capdisc.cli._held is not None
+    assert_one_error_line(main(gen + [str(tmp_path / "missing" / "p.csv")]), capsys.readouterr())
+    assert capdisc.cli._held is None
+    assert main(gen + [good]) == 0 and capdisc.cli._held is not None
+    loads = count_loads(monkeypatch)
+    with monkeypatch.context() as mp:
+        mp.setitem(sys.modules, "_blake2", None)  # the import raises ImportError
+        assert main(gen + [good]) == 0
+        assert capdisc.cli._held is None
+        assert main(["disc", "--in", good, "--family", "circle", "--no-timestamp"]) == 0
+    assert loads == [good]
 
 
 def test_held_set_is_keyed_by_the_bytes_it_parsed(tmp_path, monkeypatch):

@@ -425,6 +425,32 @@ def test_threaded_arc_sweep_keeps_the_first_of_maxima_tied_across_blocks(monkeyp
     assert rep.witness["theta0"] == TWO_PI * psi[0]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_arc_sweep_ranks_runs_of_equal_turns_across_block_edges(monkeypatch, threads):
+    # A block's own rank of a turn is that of the first of its ties, which
+    # for a run straddling a block edge lies in an earlier block.  Two runs
+    # straddle edges one arc apart with nothing between them, so the arcs
+    # that start (or, for the entries, end) in one miss the other and are
+    # underfull, and a count short by some ties would exceed the true sup.
+    # A third run starts on an edge; the other turns are evenly spaced.
+    block = 4
+    monkeypatch.setattr(capdisc.discrepancy, "_SWEEP_BLOCK", block)
+    after = 0.45 + (np.arange(22) + 0.5) * 0.55 / 22
+    after[10:13] = after[10]
+    turns = np.concatenate([(np.arange(10) + 0.5) / 40, np.full(4, 0.25), np.full(4, 0.45), after])
+    ps = pointset_from_turns(np.random.default_rng(block).permutation(turns))
+    psi = np.sort(ps.turns())
+    assert psi[9] < psi[10] == psi[13] < psi[14] == psi[17] < psi[18]
+    assert psi[27] < psi[28] == psi[30] < psi[31]
+    arc = psi[14] - psi[10]  # exact: Sterbenz
+    assert psi[10] + arc == psi[14]
+    for a in (arc, 1.0 / 3.0, 0.3, 0.01):
+        rep = arc_discrepancy_fixed_length(ps, a, threads=threads)
+        value, theta0, _ = oracle_arc_sweep(ps, a)
+        assert rep.value == value and rep.witness["theta0"] == theta0, a
+        assert_sweep_matches_serial(ps, a, block)
+
+
 def test_arc_sweep_rejects_fewer_than_one_thread():
     ps = pointset_from_turns([0.1, 0.4])
     for threads in (0, -2):

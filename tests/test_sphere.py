@@ -768,16 +768,52 @@ def test_source_spans_the_bytes_the_reader_parsed(tmp_path, monkeypatch, threads
     assert [start for start, _, _ in source[1:]] == [end for _, end, _ in source[:-1]]
     assert source[-1][1] == len(data)
     assert all(d == blake2b(data[start:end], digest_size=32).digest() for start, end, d in source)
-    assert sphere.source_unchanged(path, source)
-    i = data.index(b"5", len(data) // 2)
-    for changed in (data[:i] + b"6" + data[i + 1 :], data + b"\n", data[:-1]):
-        path.write_bytes(changed)
-        assert not sphere.source_unchanged(path, source)
-    path.unlink()
-    assert not sphere.source_unchanged(path, source)
+    assert_source_checks(path, data, source)
     # np.loadtxt's sets have no source.
     path.write_bytes(data.replace(b"\n", b"\r\n"))
     assert load_points(path, threads=threads).source is None
+
+
+def assert_source_checks(path, data, source):
+    """source_unchanged on 1, 2 and 3 threads: True for the file's own bytes
+    `data`; False after a digit of the last span changes (every earlier
+    span intact), a byte is added or dropped, or the file is deleted."""
+    last = source[-1][0] + next(i for i, c in enumerate(data[source[-1][0] :]) if chr(c).isdigit())
+    changes = [
+        data[:last] + (b"1" if data[last : last + 1] != b"1" else b"2") + data[last + 1 :],
+        data + b"\n",
+        data[:-1],
+    ]
+    for threads in (1, 2, 3):
+        path.write_bytes(data)
+        assert sphere.source_unchanged(path, source, threads), threads
+        for changed in changes:
+            path.write_bytes(changed)
+            assert not sphere.source_unchanged(path, source, threads), (threads, len(changed))
+        path.unlink()
+        assert not sphere.source_unchanged(path, source, threads), threads
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_save_points_returns_spans_that_tile_the_file(tmp_path, monkeypatch, dim):
+    from _blake2 import blake2b
+
+    monkeypatch.setattr(sphere, "_WRITE_ROWS", 7)  # many blocks
+    ps = generate_uniform(dim, 100, "random", seed=dim)
+    path = tmp_path / "p.csv"
+    source = save_points(ps, path)
+    data = path.read_bytes()
+    # The header, then one span per block of rows, end to end over the file.
+    assert len(source) == 1 + -(-100 // 7) and source[0][:2] == (0, data.index(b"\n") + 1)
+    assert source[-1][1] == len(data)
+    assert [start for start, _, _ in source[1:]] == [end for _, end, _ in source[:-1]]
+    assert all(d == blake2b(data[start:end], digest_size=32).digest() for start, end, d in source)
+    assert_source_checks(path, data, source)
+    with monkeypatch.context() as mp:
+        mp.setitem(sys.modules, "_blake2", None)  # the import raises ImportError
+        assert save_points(ps, tmp_path / "q.csv") is None
+    assert (tmp_path / "q.csv").read_bytes() == data
 
 
 def test_save_points_memory_does_not_grow_with_n():
