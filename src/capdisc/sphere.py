@@ -326,27 +326,18 @@ def save_points(ps: PointSet, path):
     writer's temporaries are O(block) beside the point set.  Returns the
     (start, end, BLAKE2b digest) of the header and of each block written,
     end to end over the file, for a PointSet's `source`; None where the
-    interpreter lacks _blake2.  One helper thread digests each block while
-    the next is formatted, with at most one block in flight.
+    interpreter lacks _blake2.
     """
     if "\n" in ps.provenance.generator or "\r" in ps.provenance.generator:
         raise ValueError(f"generator label holds a line break: {ps.provenance.generator!r}")
     blake2b = _blake2b()
-
-    def span(start, data):
-        return start, start + len(data), blake2b(data, digest_size=32).digest()
-
-    spans, pending, end = [], None, 0
-    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as pool:
-        for data in _csv_blocks(ps):  # each formatted while the last is digested
+    spans, end = [], 0
+    with open(path, "wb") as fh:
+        for data in _csv_blocks(ps):
             fh.write(data)
             if blake2b is not None:
-                if pending is not None:
-                    spans.append(pending.result())
-                pending = pool.submit(span, end, data)
+                spans.append((end, end + len(data), blake2b(data, digest_size=32).digest()))
             end += len(data)
-        if pending is not None:
-            spans.append(pending.result())
     return None if blake2b is None else tuple(spans)
 
 
@@ -623,43 +614,42 @@ def _read_layout(path, threads=1):
 def source_unchanged(path, source, threads: int = 1) -> bool:
     """True when the file at `path` holds the bytes a PointSet's `source`
     spans, so that load_points would read the same set from it; False for
-    a file of another size, a span whose digest differs, a short read or
-    an OSError.  The spans run end to end from byte 0; after the size,
-    contiguous groups of them are checked on up to `threads` (>= 1)
-    threads, each reading 64 KiB at a time: a span-sized buffer (up to
-    256 KiB) stays resident after the check and raises the peak memory of
-    the cap scan that follows.
+    a file that cannot be read.  The spans run end to end from byte 0; up
+    to `threads` (>= 1) threads each check the file's size, then one
+    contiguous group of spans in one sequential pass, which stops at the
+    first span whose digest differs.  Each reads 64 KiB at a time: a
+    span-sized (256 KiB) buffer stays resident after the check and raises
+    the peak memory of the cap scan that follows.
     """
-    blake2b = _blake2b()  # a source exists only where this is not None
-    try:
-        if os.stat(path).st_size != source[-1][1]:
-            return False
-    except OSError:
-        return False
     k = min(threads, len(source))
     groups = [source[i * len(source) // k : (i + 1) * len(source) // k] for i in range(k)]
+    return all(_map_blocks(lambda spans: _spans_unchanged(path, spans, source[-1][1]), groups, threads))
 
-    def check(group):
-        buf = bytearray(1 << 16)
-        try:
-            with open(path, "rb") as fh, memoryview(buf) as mv:
-                fh.seek(group[0][0])
-                for start, end, digest in group:
-                    h = blake2b(digest_size=32)
-                    left = end - start
-                    while left:
-                        got = fh.readinto(mv[: min(left, len(buf))])
-                        if not got:
-                            return False
-                        h.update(mv[:got])
-                        left -= got
-                    if h.digest() != digest:
+
+def _spans_unchanged(path, spans, size):
+    # source_unchanged's pass over one group of spans of a file of `size` bytes.
+    from _blake2 import blake2b  # a source exists only where this imports
+
+    buf = bytearray(1 << 16)
+    try:
+        with open(path, "rb") as fh, memoryview(buf) as mv:
+            if os.fstat(fh.fileno()).st_size != size:
+                return False
+            fh.seek(spans[0][0])
+            for start, end, digest in spans:
+                h = blake2b(digest_size=32)
+                left = end - start
+                while left:
+                    got = fh.readinto(mv[: min(left, len(buf))])
+                    if not got:
                         return False
-        except OSError:
-            return False
-        return True
-
-    return all(_map_blocks(check, groups, threads))
+                    h.update(mv[:got])
+                    left -= got
+                if h.digest() != digest:
+                    return False
+    except OSError:
+        return False
+    return True
 
 
 def _parse_fields(buf, cut, dim):

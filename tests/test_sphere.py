@@ -776,20 +776,23 @@ def test_source_spans_the_bytes_the_reader_parsed(tmp_path, monkeypatch, threads
 
 def assert_source_checks(path, data, source):
     """source_unchanged on 1, 2 and 3 threads: True for the file's own bytes
-    `data`; False after a digit of the last span changes (every earlier
-    span intact), a byte is added or dropped, or the file is deleted."""
-    last = source[-1][0] + next(i for i, c in enumerate(data[source[-1][0] :]) if chr(c).isdigit())
-    changes = [
-        data[:last] + (b"1" if data[last : last + 1] != b"1" else b"2") + data[last + 1 :],
-        data + b"\n",
-        data[:-1],
-    ]
+    `data`; False after a digit changes in the header, in the first span of
+    rows, in the middle of the file or in the last span (every other byte
+    intact), so that each group of spans sees a change; False after a byte
+    is added or dropped, and after the file is deleted."""
+
+    def changed_digit(at):
+        i = at + next(i for i, c in enumerate(data[at:]) if chr(c).isdigit())
+        return data[:i] + (b"1" if data[i : i + 1] != b"1" else b"2") + data[i + 1 :]
+
+    changes = [changed_digit(0), changed_digit(source[1][0]), changed_digit(len(data) // 2),
+               changed_digit(source[-1][0]), data + b"\n", data[:-1]]
     for threads in (1, 2, 3):
         path.write_bytes(data)
         assert sphere.source_unchanged(path, source, threads), threads
-        for changed in changes:
+        for i, changed in enumerate(changes):
             path.write_bytes(changed)
-            assert not sphere.source_unchanged(path, source, threads), (threads, len(changed))
+            assert not sphere.source_unchanged(path, source, threads), (threads, i)
         path.unlink()
         assert not sphere.source_unchanged(path, source, threads), threads
     path.write_bytes(data)
