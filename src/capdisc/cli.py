@@ -8,9 +8,9 @@ shortest round-trip form, so each double, -0.0 included, reads back as the
 same float.  Exit codes: 0 success, 1 failed verification, 2 configuration
 errors.
 
-main holds the point set that the last gen wrote or disc parsed, and a
-later disc in the same process reuses it, with the bits of a fresh parse,
-while the file still holds those bytes.
+main holds the point set that the last gen wrote, and a later disc in the
+same process reuses it, with the bits of a fresh parse, while the file
+still holds the bytes gen wrote.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def _cmd_gen(args) -> int:
         driver = Driver(driver_kind or "halton_2_3", offset=args.seed)
 
     ps = generate_qud(density, args.N, driver, threads=threads)
-    ps.source = save_points(ps, args.out)
-    if ps.source is not None:
-        _held = ps  # the bits load_points would read back from args.out
+    spans = save_points(ps, args.out)
+    if spans is not None:
+        _held = ps, spans  # the bits load_points would read back from args.out
     result = {
         "points_file": args.out,
         "N": ps.size,
@@ -134,31 +134,27 @@ def _cmd_eigenvalue(args) -> int:
     return 0
 
 
-# The point set the last `gen` wrote or `disc` read through the array
-# reader, or None.  main drops it before every other command, and before
-# gen generates.
+# (point set, spans save_points returned) of the last `gen`, or None.  main
+# drops it before every other command, and before gen generates; a disc
+# that parses a file drops it too.
 _held = None
 
 
 def _points(path, threads):
-    """load_points(path, threads), or the held set while the file holds the
-    bytes it was written or parsed from (sphere.source_unchanged).
+    """The set gen wrote while the file holds the bytes it wrote
+    (sphere.source_unchanged), else load_points(path, threads).
 
-    load_points' result does not depend on `threads` and its coords are
-    read-only, so the held set gives the bits of a fresh parse.  So does a
-    set gen wrote: ".17g" round-trips every double, and generate_qud's rows
-    are already normalized, so PointSet leaves a parse of them as it is.  A
-    file that cannot be read, or no longer holds those bytes, goes to
+    The held set gives the bits of a fresh parse: ".17g" round-trips every
+    double, generate_qud's rows are already normalized, so PointSet leaves
+    a parse of them as it is, and load_points' result does not depend on
+    `threads`.  A file that cannot be read, or holds other bytes, goes to
     load_points, so every error is the one a fresh parse raises.
     """
     global _held
-    if _held is not None and source_unchanged(path, _held.source, threads=threads):
-        return _held
+    if _held is not None and source_unchanged(path, _held[1], threads=threads):
+        return _held[0]
     _held = None  # one set alive at a time
-    ps = load_points(path, threads=threads)
-    if ps.source is not None:
-        _held = ps
-    return ps
+    return load_points(path, threads=threads)
 
 
 def _cmd_disc(args) -> int:

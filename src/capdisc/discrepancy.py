@@ -263,7 +263,10 @@ def _cap_counts(coords, dirs, s, threads=1):
     # Points with x . u >= s for each row u of dirs, tile by tile.  Each
     # tile's 0/1 bytes are summed as uint8 over runs of _BYTE_ROWS rows,
     # which cannot overflow, so the int64 counts of the tiles' flags are
-    # exact.  The flags are only as exact as the dot products BLAS returns:
+    # exact.  The runs are summed in the widest unsigned lanes that divide
+    # a row: each byte of a lane sums to at most 255, so no carry crosses
+    # into the next byte, and the lane sums read as bytes are the byte
+    # sums.  The flags are only as exact as the dot products BLAS returns:
     # their bits depend on the tile's shape, so a point within a few ulp of
     # the boundary may flip in a product of another shape.  The points are
     # cut into at most `threads` runs of whole tiles, counted in parallel;
@@ -272,6 +275,7 @@ def _cap_counts(coords, dirs, s, threads=1):
     if threads < 1:
         raise ValueError(f"need at least one thread, got threads={threads}")
     n_pts, m_dirs = coords.shape[0], len(dirs)
+    lane = np.dtype(f"u{math.gcd(m_dirs, 8)}")
     rows = _tile_rows(m_dirs)
     tiles = -(-n_pts // rows)
     span = rows * max(1, -(-tiles // threads))  # points per run
@@ -282,8 +286,9 @@ def _cap_counts(coords, dirs, s, threads=1):
             inside = (coords[p0 : p0 + rows] @ dirs.T >= s).view(np.uint8)
             full = inside.shape[0] - inside.shape[0] % _BYTE_ROWS
             if full:
-                runs = inside[:full].reshape(-1, _BYTE_ROWS, m_dirs)
-                counts += np.add.reduce(runs, axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
+                runs = inside[:full].reshape(-1, _BYTE_ROWS, m_dirs).view(lane)
+                sums = np.add.reduce(runs, axis=1, dtype=lane).view(np.uint8)
+                counts += sums.sum(axis=0, dtype=np.int64)
             counts += np.add.reduce(inside[full:], axis=0, dtype=np.uint8)
         return counts
 

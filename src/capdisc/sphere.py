@@ -156,13 +156,7 @@ class PointSet:
     """An ordered finite prefix of a sequence of unit vectors.
 
     Stores coordinates as an (N, n) read-only array; order is significant.
-    `source` is None, or for a set that load_points parsed from a file, or
-    that save_points wrote to one, the (start, end, BLAKE2b digest) of each
-    span of the file's bytes, end to end from byte 0; source_unchanged
-    tells whether a file still holds those bytes.
     """
-
-    source = None
 
     def __init__(self, coords, provenance: Provenance):
         self._own(np.array(coords, dtype=float), provenance)
@@ -306,17 +300,6 @@ def _parse_header(line):
     return (int(m[1]), Provenance(generator=m[2], seed=int(m[3]))) if m else None
 
 
-def _blake2b():
-    # _blake2's constructor, or None where the interpreter lacks it; not
-    # hashlib, whose import loads OpenSSL, and imported per call so that
-    # importing the package does not load it.
-    try:
-        from _blake2 import blake2b
-    except ImportError:
-        return None
-    return blake2b
-
-
 def save_points(ps: PointSet, path):
     """Write a point set as CSV: a provenance header, then one row per point
     of its coordinates as format(x, ".17g"), split by "," and ended by "\n".
@@ -325,12 +308,17 @@ def save_points(ps: PointSet, path):
     Rows are formatted _WRITE_ROWS at a time by _format_fields, so the
     writer's temporaries are O(block) beside the point set.  Returns the
     (start, end, BLAKE2b digest) of the header and of each block written,
-    end to end over the file, for a PointSet's `source`; None where the
+    end to end over the file, for source_unchanged; None where the
     interpreter lacks _blake2.
     """
     if "\n" in ps.provenance.generator or "\r" in ps.provenance.generator:
         raise ValueError(f"generator label holds a line break: {ps.provenance.generator!r}")
-    blake2b = _blake2b()
+    try:
+        # Not hashlib, whose import loads OpenSSL; imported per call, so
+        # that importing the package does not load it.
+        from _blake2 import blake2b
+    except ImportError:
+        blake2b = None
     spans, end = [], 0
     with open(path, "wb") as fh:
         for data in _csv_blocks(ps):
@@ -477,15 +465,11 @@ def load_points(path, threads: int = 1) -> PointSet:
     writes is parsed as arrays (_read_layout), its chunks on up to
     `threads` (>= 1) threads; any other body, and every body on a platform
     without a 64-bit long double, goes to np.loadtxt.  The chunks do not
-    depend on `threads`, so neither does the result.  The array reader also
-    records the set's `source`.
+    depend on `threads`, so neither does the result.
     """
     read = _read_layout(path, threads)
     if read is not None:
-        coords, provenance, source = read
-        ps = PointSet._adopt(coords, provenance)
-        ps.source = source
-        return ps
+        return PointSet._adopt(*read)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         parsed = _parse_header(header)
@@ -528,7 +512,7 @@ _NUMBER_RE = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
 def _read_layout(path, threads=1):
-    """(coords, provenance, source) read from `path` when every body row is
+    """(coords, provenance) read from `path` when every body row is
     `dim` fields of _NUMBER_RE split by "," and ended by "\n" (the last "\n"
     optional) under an ASCII header; None for any other file, which
     np.loadtxt then reads.
@@ -537,13 +521,10 @@ def _read_layout(path, threads=1):
     last newline of each, counting the rows of every piece.  The pieces are
     then parsed through _map_blocks, each into its own rows of one (N, n)
     array for PointSet to adopt; one piece that is not in the layout sends
-    the whole file to np.loadtxt.  `source` spans the header and the pieces,
-    each with the digest of the very bytes parsed; it is None where the
-    interpreter lacks _blake2.
+    the whole file to np.loadtxt.
     """
     if np.finfo(np.longdouble).nmant < 63:
         return None
-    blake2b = _blake2b()
     chunk = _CSV_CHUNK
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -574,11 +555,10 @@ def _read_layout(path, threads=1):
     if dim < 2 or rows == 0 or 2 * rows * dim > end - pieces[0][0] + 1:
         return None
     coords = np.empty((rows, dim))
-    digests = [None] * len(pieces)
     failed = []  # one failed piece sends the file to np.loadtxt: stop early
 
-    def parse(job):
-        i, (start, end, row, n) = job
+    def parse(piece):
+        start, end, row, n = piece
         if failed:
             return False
         # _DIGIT_SLOTS bytes of "0" (every field then has 24 bytes before
@@ -589,35 +569,29 @@ def _read_layout(path, threads=1):
         with open(path, "rb") as fh, memoryview(buf) as mv:
             fh.seek(start)
             got = fh.readinto(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + size])
-            if blake2b is not None:
-                digests[i] = blake2b(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + got], digest_size=32).digest()
         cut = _DIGIT_SLOTS + size
         if buf[cut - 1] != ord("\n"):
             buf[cut] = ord("\n")
             cut += 1
         vals = _parse_fields(buf, cut, dim) if got == size else None
         if vals is None or vals.size != n * dim:
-            failed.append(i)
+            failed.append(start)
             return False
         coords[row : row + n] = vals.reshape(n, dim)
         return True
 
-    if not all(_map_blocks(parse, enumerate(pieces), threads)):
+    if not all(_map_blocks(parse, pieces, threads)):
         return None
-    source = None
-    if blake2b is not None:
-        source = ((0, pieces[0][0], blake2b(line, digest_size=32).digest()),
-                  *((start, end, d) for (start, end, _, _), d in zip(pieces, digests)))
-    return coords, provenance, source
+    return coords, provenance
 
 
 def source_unchanged(path, source, threads: int = 1) -> bool:
-    """True when the file at `path` holds the bytes a PointSet's `source`
-    spans, so that load_points would read the same set from it; False for
-    a file that cannot be read.  The spans run end to end from byte 0; up
-    to `threads` (>= 1) threads each check the file's size, then one
-    contiguous group of spans in one sequential pass, which stops at the
-    first span whose digest differs.  Each reads 64 KiB at a time: a
+    """True when the file at `path` holds the bytes that `source`, the spans
+    save_points returned, cover, so that load_points would read the set it
+    wrote; False for a file that cannot be read.  The spans run end to end
+    from byte 0; up to `threads` (>= 1) threads each check the file's size,
+    then one contiguous group of spans in one sequential pass, which stops
+    at the first span whose digest differs.  Each reads 64 KiB at a time: a
     span-sized (256 KiB) buffer stays resident after the check and raises
     the peak memory of the cap scan that follows.
     """
@@ -628,7 +602,7 @@ def source_unchanged(path, source, threads: int = 1) -> bool:
 
 def _spans_unchanged(path, spans, size):
     # source_unchanged's pass over one group of spans of a file of `size` bytes.
-    from _blake2 import blake2b  # a source exists only where this imports
+    from _blake2 import blake2b  # save_points returns spans only where this imports
 
     buf = bytearray(1 << 16)
     try:

@@ -530,15 +530,17 @@ def assert_fresh_run_without_scipy(argv, tmp_path):
     """Run argv first in a fresh interpreter, check that scipy stays unloaded,
     and check that a run in this process writes the same bytes.
 
-    Nor may the command load OpenSSL's _hashlib: disc digests point files
-    with _blake2, which importing the CLI does not load either.
+    Nor may the command load OpenSSL's _hashlib, nor, unless it is gen,
+    _blake2: only gen digests, the file it writes, so a disc of a file
+    this interpreter did not write loads no digest module.
     """
+    unloaded = {"scipy", "_hashlib"} | ({"_blake2"} if argv[0] != "gen" else set())
     argv = argv + ["--json", str(tmp_path / "out.json"), "--no-timestamp"]
     script = (
         "import sys\nimport capdisc.cli\n"
         "assert not {'scipy', '_blake2', '_hashlib'} & set(sys.modules)\n"
         f"rc = capdisc.cli.main({argv!r})\n"
-        "assert not {'scipy', '_hashlib'} & set(sys.modules)\nsys.exit(rc)\n"
+        f"assert not {unloaded!r} & set(sys.modules), sys.modules.keys()\nsys.exit(rc)\n"
     )
     proc = run_fresh(script, tmp_path)
     assert proc.returncode == 0, (argv, proc.stderr)
@@ -691,71 +693,33 @@ def disc_report(argv, path):
     return code, path.read_bytes() if code == 0 else None
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_held_set_gives_the_reports_of_fresh_loads(tmp_path, monkeypatch, threads):
-    planar, zonal = str(tmp_path / "planar.csv"), str(tmp_path / "zonal.csv")
-    assert main(["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "3000",
-                 "--out", planar]) == 0
-    assert main(["gen", "--density", "zonal", "--k", "3", "--c", "0.8", "--N", "2000",
-                 "--out", zonal]) == 0
-    runs = [
-        ["--in", planar, "--family", "arc-fixed", "--a", "0.3"],
-        ["--in", planar, "--family", "circle"],
-        ["--in", planar, "--family", "arc-fixed", "--a", repr(1 / 3)],
-        ["--in", zonal, "--family", "cap-fixed", "--s", "0", "--M", "300", "--refine", "4"],
-        ["--in", zonal, "--family", "cap-fixed", "--s", "0", "--M", "300", "--refine", "4"],
-        ["--in", zonal, "--family", "cap-fixed", "--s", S5, "--M", "300"],
-    ]
-    out = tmp_path / "r.json"
-    loads = count_loads(monkeypatch)
-    held = [disc_report(["disc", *argv, "--threads", threads], out) for argv in runs]
-    assert loads == [planar, zonal]
-    fresh = []
-    for argv in runs:
-        capdisc.cli._held = None
-        fresh.append(disc_report(["disc", *argv, "--threads", threads], out))
-    assert held == fresh and all(code == 0 for code, _ in held)
-
-
-def test_disc_reads_a_rewritten_file_again(tmp_path, monkeypatch):
-    # The same size and modification time, other bytes: only the digest of
-    # the bytes tells the two files apart.
-    path = tmp_path / "p.csv"
-    path.write_text("# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
-    argv = ["disc", "--in", str(path), "--family", "circle"]
-    out = tmp_path / "r.json"
-    loads = count_loads(monkeypatch)
-    first = disc_report(argv, out)
-    stat = path.stat()
-    path.write_text("# dim=2 generator=hand seed=0\n1,0\n0,1\n0,-1\n")
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
-    second = disc_report(argv, out)
-    assert loads == [str(path)] * 2
-    capdisc.cli._held = None
-    assert second == disc_report(argv, out) != first
+GEN_ARGS = {
+    "planar": ["--density", "planar", "--p", "1", "--q", "3", "--N", "3000"],
+    "zonal": ["--density", "zonal", "--k", "3", "--c", "0.8", "--N", "2000"],
+}
 
 
 def test_a_malformed_file_holds_nothing(tmp_path, capsys, monkeypatch):
-    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_text("# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
-    bad.write_text("# dim=2 generator=hand seed=0\n1,0\nx,1\n")
+    good, bad = str(tmp_path / "good.csv"), str(tmp_path / "bad.csv")
+    Path(bad).write_text("# dim=2 generator=hand seed=0\n1,0\nx,1\n")
+    assert main(["gen", *GEN_ARGS["planar"], "--out", good]) == 0
+    assert capdisc.cli._held is not None
     loads = count_loads(monkeypatch)
     for path in (bad, good, bad, good):
-        code = main(["disc", "--in", str(path), "--family", "circle", "--no-timestamp"])
+        code = main(["disc", "--in", path, "--family", "circle", "--no-timestamp"])
         captured = capsys.readouterr()
-        if path == bad:
-            assert_one_error_line(code, captured)
-            assert capdisc.cli._held is None
+        if path == good:
+            assert code == 0
         else:
-            assert code == 0 and capdisc.cli._held is not None
-    # The bad file dropped the good one's set, so the good file is read again.
-    assert loads == [str(bad), str(good), str(bad), str(good)]
+            assert_one_error_line(code, captured)
+        assert capdisc.cli._held is None
+    # The bad file dropped the set gen wrote, so gen's file is parsed.
+    assert loads == [bad, good, bad, good]
 
 
 def test_other_commands_release_the_held_set(tmp_path, monkeypatch):
-    # gen drops the held set and holds the one it wrote; the measure-level
-    # commands drop it and hold nothing.
+    # gen drops the held set and holds the one it wrote; a disc of another
+    # file and the measure-level commands drop it and hold nothing.
     path, out = tmp_path / "p.csv", str(tmp_path / "gen.csv")
     path.write_text("# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
     disc = ["disc", "--in", str(path), "--family", "circle", "--no-timestamp"]
@@ -767,17 +731,22 @@ def test_other_commands_release_the_held_set(tmp_path, monkeypatch):
                  disc):
         held = capdisc.cli._held
         assert main(argv) == 0
-        assert (capdisc.cli._held is None) == (argv[0] not in ("disc", "gen")), argv
+        assert (capdisc.cli._held is None) == (argv[0] != "gen"), argv
         if argv[0] == "gen":
             assert capdisc.cli._held is not held
-            assert capdisc.cli._held.source[-1][1] == os.path.getsize(out)
-    assert loads == [str(path)] * 4
+            assert capdisc.cli._held[1][-1][1] == os.path.getsize(out)
+    assert loads == [str(path)] * 5  # every disc parses
 
 
-GEN_ARGS = {
-    "planar": ["--density", "planar", "--p", "1", "--q", "3", "--N", "3000"],
-    "zonal": ["--density", "zonal", "--k", "3", "--c", "0.8", "--N", "2000"],
-}
+def test_discs_of_a_file_gen_did_not_write_parse_it_each_time(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    save_points(generate_uniform(2, 300, "kronecker_s1"), path)
+    argv = ["disc", "--in", str(path), "--family", "circle"]
+    out = tmp_path / "r.json"
+    loads = count_loads(monkeypatch)
+    reports = [disc_report(argv, out) for _ in range(2)]
+    assert loads == [str(path)] * 2 and capdisc.cli._held is None
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -785,7 +754,7 @@ GEN_ARGS = {
 def test_gen_holds_the_bits_a_load_of_its_file_gives(tmp_path, density, threads):
     path = tmp_path / "p.csv"
     assert main(["gen", *GEN_ARGS[density], "--threads", threads, "--out", str(path)]) == 0
-    held, fresh = capdisc.cli._held, load_points(path, threads=int(threads))
+    held, fresh = capdisc.cli._held[0], load_points(path, threads=int(threads))
     assert held.coords.shape == fresh.coords.shape and held.coords.dtype == fresh.coords.dtype
     assert held.coords.tobytes() == fresh.coords.tobytes()
     assert held.provenance == fresh.provenance
@@ -821,7 +790,6 @@ def test_disc_after_gen_reads_a_rewritten_file_again(tmp_path, monkeypatch):
     # swapped: only the digests of the bytes tell the two files apart.
     path = tmp_path / "p.csv"
     assert main(["gen", *GEN_ARGS["planar"], "--out", str(path)]) == 0
-    written = capdisc.cli._held.coords
     stat = path.stat()
     body, last = path.read_bytes()[:-1].rsplit(b"\n", 1)
     x, y = last.split(b",")
@@ -832,10 +800,9 @@ def test_disc_after_gen_reads_a_rewritten_file_again(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     loads = count_loads(monkeypatch)
     report = disc_report(argv, out)
-    assert loads == [str(path)]
-    assert not np.array_equal(capdisc.cli._held.coords, written)
-    capdisc.cli._held = None
+    assert loads == [str(path)] and capdisc.cli._held is None
     assert report == disc_report(argv, out)
+    assert loads == [str(path)] * 2
 
 
 def test_gen_without_a_file_or_digests_holds_nothing(tmp_path, capsys, monkeypatch):
@@ -853,60 +820,6 @@ def test_gen_without_a_file_or_digests_holds_nothing(tmp_path, capsys, monkeypat
         assert capdisc.cli._held is None
         assert main(["disc", "--in", good, "--family", "circle", "--no-timestamp"]) == 0
     assert loads == [good]
-
-
-def test_held_set_is_keyed_by_the_bytes_it_parsed(tmp_path, monkeypatch):
-    # The file is rewritten between the reader's first pass and its parse:
-    # the set holds the rewritten values, so it must not be reused once the
-    # file holds the first bytes again.
-    path = tmp_path / "p.csv"
-    first = "# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n"
-    second = "# dim=2 generator=hand seed=0\n1,0\n0,1\n0,-1\n"
-    path.write_text(first)
-    map_blocks = capdisc.sphere._map_blocks
-    rewrites = []
-
-    def rewrite_once(*args):
-        if not rewrites:
-            rewrites.append(path.write_text(second))
-        return map_blocks(*args)
-
-    monkeypatch.setattr(capdisc.sphere, "_map_blocks", rewrite_once)
-    argv = ["disc", "--in", str(path), "--family", "circle"]
-    out = tmp_path / "r.json"
-    loads = count_loads(monkeypatch)
-    raced = disc_report(argv, out)
-    path.write_text(first)
-    again = disc_report(argv, out)
-    assert loads == [str(path)] * 2
-    capdisc.cli._held = None
-    assert again == disc_report(argv, out)
-    path.write_text(second)
-    capdisc.cli._held = None
-    assert raced == disc_report(argv, out) != again
-
-
-def test_sets_without_a_source_are_not_held(tmp_path, monkeypatch):
-    # CRLF rows go to np.loadtxt, and an interpreter without _blake2 digests
-    # nothing: both read the file on every disc and report the same bytes.
-    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
-    crlf.write_bytes(b"# dim=2 generator=hand seed=0\r\n1,0\r\n0,1\r\n-1,0\r\n")
-    lf.write_bytes(b"# dim=2 generator=hand seed=0\n1,0\n0,1\n-1,0\n")
-    out = tmp_path / "r.json"
-    reports = []
-    loads = count_loads(monkeypatch)
-    for path in (crlf, crlf, lf):
-        reports.append(disc_report(["disc", "--in", str(path), "--family", "circle"], out))
-        assert (capdisc.cli._held is None) == (path == crlf)
-    with monkeypatch.context() as mp:
-        mp.setitem(sys.modules, "_blake2", None)  # the import raises ImportError
-        capdisc.cli._held = None
-        for _ in range(2):
-            reports.append(disc_report(["disc", "--in", str(lf), "--family", "circle"], out))
-            assert capdisc.cli._held is None
-    assert loads == [str(crlf)] * 2 + [str(lf)] * 3
-    assert all(code == 0 for code, _ in reports)
-    assert len({json.dumps(json.loads(text)["result"]) for _, text in reports}) == 1
 
 
 @pytest.mark.parametrize("argv", [

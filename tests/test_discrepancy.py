@@ -831,6 +831,30 @@ def test_cap_counts_match_one_shot_at_tile_edges(m_dirs):
         _cap_counts(coords, dirs, 0.5, threads=0)
 
 
+@pytest.mark.parametrize("m_dirs", [1, 2, 3, 4, 6, 8, 12])
+def test_cap_counts_in_word_lanes_match_per_tile_counts(monkeypatch, m_dirs):
+    # Tiles of three 255-row runs and a 17-row remainder; M = 8, 4 and 2
+    # (and 12, 6) sum their runs in uint64, uint32 and uint16 lanes.
+    rows = 3 * 255 + 17
+    monkeypatch.setattr(capdisc.discrepancy, "_SCAN_TILE", rows * m_dirs)
+    assert _tile_rows(m_dirs) == rows
+    rng = np.random.default_rng(m_dirs)
+    x = rng.standard_normal((2 * rows + 300, 3))
+    x[:, :2] *= 0.25
+    x[:, 2] = np.abs(x[:, 2]) + 2.0
+    coords = x / np.linalg.norm(x, axis=1)[:, None]  # every z near 0.9 or above
+    dirs = generate_uniform(3, m_dirs, "random", seed=m_dirs).coords.copy()
+    # The first and the last direction contain every point, so their bytes
+    # reach 255 in every run, at both ends of a lane.
+    dirs[[0, -1]] = [0.0, 0.0, 1.0]
+    s = 0.5
+    want = sum(np.count_nonzero(coords[p0 : p0 + rows] @ dirs.T >= s, axis=0)
+               for p0 in range(0, len(coords), rows))
+    assert want[0] == want[-1] == len(coords)
+    for threads in (1, 2, 3):
+        assert np.array_equal(_cap_counts(coords, dirs, s, threads), want), threads
+
+
 def _chunked_cap_search(ps, s, M, refine, directions=None):
     """The cap search as it was before one count kernel served it.
 

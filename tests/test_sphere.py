@@ -745,33 +745,13 @@ def test_writer_decades_and_scales_are_exact():
 
 
 def test_import_of_the_cli_leaves_fractions_out():
-    # Nor the digest modules: disc imports _blake2 when it first reads a file.
+    # Nor the digest modules: gen imports _blake2 when it first writes a file.
     script = ("import sys, capdisc.cli\n"
               "assert not {'fractions', '_blake2', '_hashlib', 'hashlib'} & set(sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(sphere.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_source_spans_the_bytes_the_reader_parsed(tmp_path, monkeypatch, threads):
-    from _blake2 import blake2b
-
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", 64)  # many pieces
-    path = tmp_path / "p.csv"
-    save_points(generate_uniform(2, 50, "random", seed=1), path)
-    data = path.read_bytes()
-    source = load_points(path, threads=threads).source
-    # The header, then one span per piece, end to end over the whole file.
-    assert len(source) > 10 and source[0][:2] == (0, data.index(b"\n") + 1)
-    assert [start for start, _, _ in source[1:]] == [end for _, end, _ in source[:-1]]
-    assert source[-1][1] == len(data)
-    assert all(d == blake2b(data[start:end], digest_size=32).digest() for start, end, d in source)
-    assert_source_checks(path, data, source)
-    # np.loadtxt's sets have no source.
-    path.write_bytes(data.replace(b"\n", b"\r\n"))
-    assert load_points(path, threads=threads).source is None
 
 
 def assert_source_checks(path, data, source):
