@@ -107,7 +107,7 @@ def _cmd_gen(args) -> int:
         driver = Driver(driver_kind or "halton_2_3", offset=args.seed)
 
     ps = generate_qud(density, args.N, driver, threads=threads)
-    spans = save_points(ps, args.out)
+    spans = save_points(ps, args.out, threads=threads)
     if spans is not None:
         _held = ps, spans  # the bits load_points would read back from args.out
     result = {
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the timestamp field for byte-identical reruns")
     threaded = argparse.ArgumentParser(add_help=False, parents=[common])
     threaded.add_argument("--threads", type=int, default=None,
-                          help="worker threads for the cap scan, the arc sweep, gen and reading "
+                          help="worker threads for the cap scan, the arc sweep, gen (the "
+                               "transport, and formatting and digesting the CSV) and reading "
                                "point files (default: the CPUs this process may run on); the cap "
                                "scan splits the points into runs whose exact counts are summed, "
                                "the others split fixed blocks, so results do not depend on the "

@@ -39,13 +39,15 @@ DRIVER_KINDS = ("van_der_corput_base2", "halton_2_3", "kronecker_golden")
 # Inverse-CDF transport: safeguarded Newton steps from the root of a table
 # of the CDF at _LOCATE_KNOTS knots.  The step cap is a backstop: on 10^6
 # random driver values no point of the test densities took more than 18
-# steps.  Points go in slices of _NEWTON_SLICE: with 16,384 the zonal_s2
-# process peaked about 1 MiB higher (the heap kept more), and with 2,048 the
-# per-step overhead made planar generation as slow as the bisection it
-# replaced.
+# steps.  Points go in slices of _NEWTON_SLICE: each step is a few numpy
+# calls that hold the GIL, so longer slices let two threads transport in
+# parallel, and with 2,048 the per-step overhead made planar generation as
+# slow as the bisection it replaced.  The zonal CDF, density and placement
+# work in place, which holds a zonal block's traced peak at 1.85 MiB with
+# 16,384-point slices.
 _LOCATE_KNOTS = 4097
 _NEWTON_STEPS = 32
-_NEWTON_SLICE = 4096
+_NEWTON_SLICE = 16384
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,11 @@ class ZonalDensity:
 
     def density(self, t):
         """Density as a function of t = axis . v."""
-        return 1.0 + self.coefficient * legendre_eval(self.dim, self.degree, t)
+        # 1 + c * P_k(t), in place where t is an array.
+        out = legendre_eval(self.dim, self.degree, t)
+        out *= self.coefficient
+        out += 1.0
+        return out
 
     def cdf(self, t):
         """CDF of t = axis . v on S^2 (dim 3), elementwise over t in [-1, 1]."""
@@ -172,8 +178,14 @@ class ZonalDensity:
         for j, p in enumerate(_legendre_run(3, k + 1, t)):
             if j == k - 1:
                 lower = p
-        poly = (p - lower) / (2 * k + 1)
-        return 0.5 * (t + 1.0) + 0.5 * c * poly
+        # 0.5 * (t + 1.0) + 0.5 * c * poly, in place where t is an array.
+        p -= lower
+        p /= 2 * k + 1
+        p *= 0.5 * c
+        out = t + 1.0
+        out *= 0.5
+        out += p
+        return out
 
     # generate_qud transports the first coordinate of a 2-D driver to t; the
     # second is the azimuth around the axis.  The slope is density / _mass,
@@ -195,10 +207,16 @@ class ZonalDensity:
         e, b1, b2 = _orthonormal_frame(self.axis)
         phi = TWO_PI * xy[:, 1]
         r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        # t e + r cos(phi) b1 + r sin(phi) b2, summed in that order.
-        np.multiply(t[:, None], e, out=out)
-        out += (r * np.cos(phi))[:, None] * b1
-        out += (r * np.sin(phi))[:, None] * b2
+        r_sin = np.sin(phi)
+        r_sin *= r
+        r_cos = np.cos(phi, out=phi)
+        r_cos *= r
+        # t e + r cos(phi) b1 + r sin(phi) b2, summed in that order, one
+        # column at a time: no (N, 3) temporaries.
+        for j, col in enumerate(out.T):
+            np.multiply(t, e[j], out=col)
+            col += np.multiply(r_cos, b1[j], out=r)
+            col += np.multiply(r_sin, b2[j], out=r)
 
     def _describe(self, driver, N):
         axis = ",".join(format(a, ".17g") for a in self.axis)
@@ -303,6 +321,7 @@ def _invert_monotone_vec(fvec, dvec, y, lo, hi):
         pos = ys * (_LOCATE_KNOTS - 1)
         cell = np.clip(pos.astype(np.intp), 0, _LOCATE_KNOTS - 2)
         xs[...] = inverse[cell] + (inverse[cell + 1] - inverse[cell]) * (pos - cell)
+        del pos, cell  # slice-sized: not kept through the steps
         moving = np.arange(ys.size)
         a, b = np.full(ys.size, lo), np.full(ys.size, hi)
         for _ in range(_NEWTON_STEPS):
@@ -344,9 +363,10 @@ def generate_qud(d, N: int, driver: Driver, threads: int = 1) -> PointSet:
     deterministic for fixed (density, N, driver).
 
     Points are made in fixed blocks of 2^16: each block draws its own
-    driver values and transports them into its rows of the (N, n) result,
-    so temporaries are O(block) beside it; `threads` (>= 1) transport
-    blocks in parallel, and no output bit depends on it.
+    driver values and transports them, _NEWTON_SLICE points at a time,
+    into its rows of the (N, n) result, so temporaries are O(block) beside
+    it; `threads` (>= 1) transport blocks in parallel, and no output bit
+    depends on it or on the slices.
     """
     if N < 1:
         raise ValueError(f"need N >= 1 points, got {N}")

@@ -61,7 +61,12 @@ def _legendre_run(d, k, t):
     p = arr.copy()
     yield p
     for j in range(1, k):
-        p, p_prev = ((2 * j + d - 2) * arr * p - j * p_prev) / (j + d - 2), p
+        # ((2j + d - 2) t P_j - j P_{j-1}) / (j + d - 2), in place on the new array.
+        q = (2 * j + d - 2) * arr
+        q *= p
+        q -= j * p_prev
+        q /= j + d - 2
+        p, p_prev = q, p
         yield p
 
 

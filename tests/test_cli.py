@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -820,6 +821,32 @@ def test_gen_without_a_file_or_digests_holds_nothing(tmp_path, capsys, monkeypat
         assert capdisc.cli._held is None
         assert main(["disc", "--in", good, "--family", "circle", "--no-timestamp"]) == 0
     assert loads == [good]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_gen_whose_block_fails_exits_two_and_leaves_no_thread(tmp_path, capsys, monkeypatch,
+                                                              threads):
+    # 3,000 rows in 429 blocks; the third block formatted raises.
+    monkeypatch.setattr(capdisc.sphere, "_WRITE_ROWS", 7)
+    gen = ["gen", *GEN_ARGS["planar"], "--threads", str(threads), "--out", str(tmp_path / "p.csv")]
+    assert main(gen) == 0 and capdisc.cli._held is not None
+    format_fields, calls, lock = capdisc.sphere._format_fields, [], threading.Lock()
+
+    def failing(x, seps):
+        with lock:
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise OSError("No space left on device")
+        return format_fields(x, seps)
+
+    monkeypatch.setattr(capdisc.sphere, "_format_fields", failing)
+    before = threading.active_count()
+    assert_one_error_line(main(gen), capsys.readouterr())
+    assert threading.active_count() == before
+    assert capdisc.cli._held is None
+    # The pool starts blocks in order and the write stops at the failed
+    # third: at most 2 * threads blocks are submitted up to and past it.
+    assert len(calls) == 3 if threads == 1 else len(calls) <= 2 * threads + 2, len(calls)
 
 
 @pytest.mark.parametrize("argv", [

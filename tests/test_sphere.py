@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -780,23 +781,40 @@ def assert_source_checks(path, data, source):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_save_points_returns_spans_that_tile_the_file(tmp_path, monkeypatch, dim):
+    # On 1, 2, 3 and 5 threads: the per-value writer's bytes, and the same
+    # spans, which tile the file.
     from _blake2 import blake2b
 
-    monkeypatch.setattr(sphere, "_WRITE_ROWS", 7)  # many blocks
-    ps = generate_uniform(dim, 100, "random", seed=dim)
-    path = tmp_path / "p.csv"
-    source = save_points(ps, path)
-    data = path.read_bytes()
+    monkeypatch.setattr(sphere, "_WRITE_ROWS", 7)  # 15 blocks
+    coords = generate_uniform(dim, 100, "random", seed=dim).coords.copy()
+    # Values that take the format() path, in four blocks: 0, -0, 1 + 4e-13
+    # (a row unit to 1e-12 is kept as it is) and about 1e-5 (e-notation).
+    zeros = [0.0] * (dim - 2)
+    coords[3] = [0.0, 1.0 + 4e-13, *zeros]
+    coords[20] = [-0.0, -1.0, *zeros]
+    coords[52] = [1e-5, *zeros, 1.0]
+    coords[99] = [1.0, -0.0, *zeros]
+    ps = PointSet(coords, Provenance("special-values", dim))
+    want = reference_csv(ps)
+    assert all(tok in want for tok in (b"\n0,", b"\n-0,", b",1.0000000000003999", b"e-06"))
+    sources = []
+    for threads in (1, 2, 3, 5):
+        path = tmp_path / f"t{threads}.csv"
+        sources.append(save_points(ps, path, threads=threads))
+        assert path.read_bytes() == want, threads
+    source = sources[0]
+    assert all(other == source for other in sources[1:])
     # The header, then one span per block of rows, end to end over the file.
-    assert len(source) == 1 + -(-100 // 7) and source[0][:2] == (0, data.index(b"\n") + 1)
-    assert source[-1][1] == len(data)
+    assert len(source) == 1 + -(-100 // 7) and source[0][:2] == (0, want.index(b"\n") + 1)
+    assert source[-1][1] == len(want)
     assert [start for start, _, _ in source[1:]] == [end for _, end, _ in source[:-1]]
-    assert all(d == blake2b(data[start:end], digest_size=32).digest() for start, end, d in source)
-    assert_source_checks(path, data, source)
+    assert all(d == blake2b(want[start:end], digest_size=32).digest() for start, end, d in source)
+    assert_source_checks(tmp_path / "t5.csv", want, source)
     with monkeypatch.context() as mp:
         mp.setitem(sys.modules, "_blake2", None)  # the import raises ImportError
-        assert save_points(ps, tmp_path / "q.csv") is None
-    assert (tmp_path / "q.csv").read_bytes() == data
+        for threads in (1, 2, 3, 5):
+            assert save_points(ps, tmp_path / "q.csv", threads=threads) is None
+            assert (tmp_path / "q.csv").read_bytes() == want, threads
 
 
 def test_save_points_memory_does_not_grow_with_n():
@@ -811,6 +829,56 @@ def test_save_points_memory_does_not_grow_with_n():
             tracemalloc.stop()
     # Both peaks are one block's temporaries, about 1.8 MiB.
     assert peaks[1] < 1.1 * peaks[0] and peaks[1] < 3 * 2**20, [p / 2**20 for p in peaks]
+
+
+def test_threaded_writer_memory_is_bounded():
+    # Two threads each format one block at a time, and at most four blocks
+    # are formatted ahead of the write, so the traced peak is at most two
+    # blocks' temporaries and four blocks' bytes at any N.  Where the two
+    # threads' peaks fall depends on the scheduling: at the same N, peaks
+    # read 1.36-1.84 MiB, so each is checked against that bound, not the
+    # other.  A writer that kept every block would hold 43 MiB at N = 2^20.
+    ps = generate_uniform(2, 1 << 20, "kronecker_s1")
+    x = ps.coords[: sphere._WRITE_ROWS].reshape(-1)
+    seps = np.tile(np.array([44, 10], np.uint8), sphere._WRITE_ROWS)
+    tracemalloc.start()
+    try:
+        block = sphere._format_fields(x, seps).size
+        one = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * one + 4 * block
+    for N in (1 << 17, 1 << 20):
+        part = PointSet._adopt(ps.coords[:N], ps.provenance)
+        tracemalloc.start()
+        try:
+            save_points(part, os.devnull, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * bound and peak < 3 * 2**20, (N, peak / 2**20, bound / 2**20)
+
+
+def test_save_points_checks_its_arguments_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"old")
+    ps = PointSet([[1.0, 0.0], [0.0, 1.0]], Provenance("ok", 0))
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="at least one thread"):
+            save_points(ps, path, threads=threads)
+    with pytest.raises(ValueError, match="line break"):
+        save_points(PointSet(ps.coords, Provenance("a\nb", 0)), path, threads=2)
+    assert path.read_bytes() == b"old"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose writes fail")
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_save_points_write_error_propagates_and_joins_its_threads(threads):
+    ps = generate_uniform(2, 1 << 16, "kronecker_s1")
+    before = threading.active_count()
+    with pytest.raises(OSError):
+        save_points(ps, "/dev/full", threads=threads)
+    assert threading.active_count() == before
 
 
 def near_midpoint(x):
