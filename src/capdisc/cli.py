@@ -182,12 +182,13 @@ def _cmd_disc(args) -> int:
 def _cmd_verify_caps(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
+    # cap_measure rejects a dimension past 10^5 before the O(n) default axis.
+    target = cap_measure(args.n, args.s)
     if args.axis is None:
         # The last coordinate axis, recorded in the report's config.
         args.axis = ",".join(["0"] * (args.n - 1) + ["1"])
     axis = _parse_axis(args.axis, args.n)
     density = ZonalDensity(dim=args.n, degree=args.k, coefficient=args.c, axis=axis)
-    target = cap_measure(args.n, args.s)
     dirs = direction_grid(args.n, args.M)
     # The deviation depends on a center only through axis . center, so the
     # whole grid is one array evaluation; argmax keeps the first maximum.

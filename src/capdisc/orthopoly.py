@@ -41,25 +41,13 @@ def legendre_eval(d: int, k: int, t):
     is numerically stable on [-1, 1].  Accepts a scalar or an ndarray.
     """
     _check_dim_degree(d, k)
-    for out in _legendre_run(d, k, np.atleast_1d(t)):
-        pass
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def _legendre_run(d, k, t):
-    # P_0, P_1, ..., P_k at t, one new array per degree, yielded in turn.
-    # Points farther outside [-1, 1] than _DOMAIN_SLACK are rejected and
-    # the rest clipped into it.
     arr = np.asarray(t, dtype=float)
     if np.any(np.abs(arr) > 1.0 + _DOMAIN_SLACK):
         raise ValueError("argument outside [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
+    # Points within _DOMAIN_SLACK of [-1, 1] are clipped into it.
+    arr = np.clip(np.atleast_1d(arr), -1.0, 1.0)
     p_prev = np.ones_like(arr)
-    yield p_prev
-    if k == 0:
-        return
-    p = arr.copy()
-    yield p
+    p = arr if k else p_prev
     for j in range(1, k):
         # ((2j + d - 2) t P_j - j P_{j-1}) / (j + d - 2), in place on the new array.
         q = (2 * j + d - 2) * arr
@@ -67,7 +55,7 @@ def _legendre_run(d, k, t):
         q -= j * p_prev
         q /= j + d - 2
         p, p_prev = q, p
-        yield p
+    return float(p[0]) if np.ndim(t) == 0 else p
 
 
 def _eval_with_derivative(d, k, t):

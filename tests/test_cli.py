@@ -306,6 +306,17 @@ def assert_one_error_line(code, captured):
     assert captured.err.startswith("capdisc: error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["99999999999999999999", "4611686018427387904"])
+def test_verify_caps_checks_the_dimension_before_the_default_axis(capsys, n):
+    # The default axis has n coordinates, so the dimension bound comes first:
+    # these would overflow or exhaust memory building it.
+    code = main(["verify-caps", "--n", n, "--k", "3", "--c", "0.8", "--s", "0.3",
+                 "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert "dimension must be >= 2 (an integer <= 100000)" in captured.err
+
+
 @pytest.mark.parametrize("bad", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
                                  ["--refine", "-3"]])
 def test_bad_tol_and_refine_exit_two(tmp_path, capsys, bad):

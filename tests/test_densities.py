@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from capdisc import (
     positivity_margin,
     zonal_cap_probability,
 )
-from capdisc.cap_transform import weight_mass
+from capdisc.cap_transform import funk_hecke_lambda, weight_mass
 from capdisc.densities import _invert_monotone_vec
-from capdisc.orthopoly import legendre_eval
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -223,29 +223,59 @@ def test_marginal_cdf_dim3():
         marginal_cdf(d, 1.5)
 
 
+def exact_zonal_cdf(k, c, t):
+    """G(t) = (1 + t)/2 + c (P_{k+1} - P_{k-1})(t) / (2 (2k + 1)) on S^2, exactly
+    at the float inputs.  With t = m / D, R_j = j! D^j P_j(t) is an integer:
+    R_{j+1} = (2j + 1) m R_j - j^2 D^2 R_{j-1}."""
+    t = Fraction(t)
+    m, den = t.numerator, t.denominator
+    r_prev, r, p = 1, m, {0: Fraction(1)}
+    for j in range(1, k + 1):
+        r, r_prev = (2 * j + 1) * m * r - j * j * den * den * r_prev, r
+        if j + 1 in (k - 1, k + 1):
+            p[j + 1] = Fraction(r, math.factorial(j + 1) * den ** (j + 1))
+    return (1 + t) / 2 + Fraction(c) * (p[k + 1] - p[k - 1]) / (2 * (2 * k + 1))
+
+
+# Heights from 10^-12 above -1 to 10^-12 below 1: there G and 1 - G are
+# the smallest, and the bracket of the factored form is near its minimum 1 - c.
+ENDS = [10.0**-e for e in range(12, 1, -1)]
+CDF_GRID = np.array([-1.0 + e for e in ENDS] + np.linspace(-0.99, 0.99, 23).tolist()
+                    + [1.0 - e for e in reversed(ENDS)])
+
+
 @pytest.mark.parametrize("k", [1, 3, 21, 199])
-@pytest.mark.parametrize("c", [0.01, 0.8])
-def test_zonal_cdf_one_recurrence_run_matches_two_calls(k, c):
-    # The CDF as two separate recurrence runs, to degrees k + 1 and k - 1.
+@pytest.mark.parametrize("c", [0.01, 0.8, 0.999])
+def test_zonal_cdf_matches_an_exact_rational_cdf(k, c):
+    # Accurate relative to G, also where G is small near t = -1: within
+    # 16 k 2^-53 / (1 - c).  Measured: at most 5.5 of those units (k = 199,
+    # c = 0.999), and 6.0e-12 at k = 21, c = 0.999.
     d = zonal_density(c=c, k=k)
-
-    def two_calls(t):
-        t = np.asarray(t, dtype=float)
-        poly = (legendre_eval(3, k + 1, t) - legendre_eval(3, k - 1, t)) / (2 * k + 1)
-        return 0.5 * (t + 1.0) + 0.5 * c * poly
-
-    # Both ends, points just past them within the domain slack, and a grid.
-    t = np.concatenate([[-1.0 - 1e-13, -1.0, -0.0, 0.0, 1.0, 1.0 + 1e-13],
-                        np.random.default_rng(k).uniform(-1.0, 1.0, 1001)])
-    got, want = d.cdf(t), two_calls(t)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    got = d.cdf(CDF_GRID)
+    assert got.shape == CDF_GRID.shape
+    bound = 16 * k * 2.0**-53 / (1.0 - c)
+    for g, t in zip(got.tolist(), CDF_GRID.tolist()):
+        want = exact_zonal_cdf(k, c, t)
+        assert abs(Fraction(g) - want) <= bound * want, (t, g, float(want))
     for x in (-0.37, 0.9999, 1.0):
         scalar = d.cdf(x)
         assert np.ndim(scalar) == 0
-        assert np.float64(scalar).view(np.int64) == np.float64(two_calls(x)).view(np.int64)
+        assert scalar == d.cdf(np.array([x]))[0]
+    assert d.cdf(-1.0) == 0.0 and d.cdf(1.0) == 1.0
     with pytest.raises(ValueError, match="outside"):
         d.cdf(np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("k", [1, 3, 21, 199])
+@pytest.mark.parametrize("c", [0.01, 0.8, 0.999])
+def test_zonal_cdf_is_the_funk_hecke_form_of_marginal_cdf(k, c):
+    # On S^2 the array CDF and marginal_cdf's n >= 4 form, 1 - mu(t) -
+    # c lambda_k(t), are one identity: they must not drift apart.  Measured:
+    # at most 2^-53 apart.
+    d = zonal_density(c=c, k=k)
+    inner = CDF_GRID[np.abs(CDF_GRID) < 1.0]
+    other = [1.0 - cap_measure(3, t) - c * funk_hecke_lambda(3, k, t) for t in inner.tolist()]
+    assert np.max(np.abs(d.cdf(inner) - other)) <= 2.0**-50
 
 
 def test_marginal_cdf_uniform_limit():
@@ -529,14 +559,18 @@ def transport_steps(d, y):
 @pytest.mark.parametrize("d", TRANSPORT_DENSITIES, ids=density_id)
 def test_no_point_reaches_the_newton_step_cap(d):
     # Random y, y near 0 and 1, and the ends themselves.  Measured: at most
-    # 6 steps planar, 8 zonal with c <= 0.8 and 18 at c = 0.999 (10^6 random
-    # y each), against a cap of 32.
+    # 6 steps planar, 8 zonal with c <= 0.8 and 10 at c = 0.999 (here and on
+    # 10^6 random y each), against a cap of 32.  12 bounds the c = 0.999
+    # densities too: near t = -1, where they are flattest, G must be
+    # accurate relative to itself for Newton to converge as fast as elsewhere.
     rng = np.random.default_rng(23)
     near = rng.random(2000) ** 8
     y = np.concatenate([rng.random(30_000), near, np.minimum(1.0 - near, 1.0 - 2.0**-53),
                         [0.0, 5e-324, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52]])
     assert np.all((0.0 <= y) & (y < 1.0))
-    assert transport_steps(d, y) < capdisc.densities._NEWTON_STEPS
+    steps = transport_steps(d, y)
+    assert steps < capdisc.densities._NEWTON_STEPS
+    assert steps <= 12
 
 
 def long_double_cdf(d, x):
