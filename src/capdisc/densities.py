@@ -239,34 +239,19 @@ def planar_arc_probability(d: PlanarRationalDensity, theta0: float, length: floa
     return float(length / TWO_PI + osc)
 
 
-def zonal_cap_probability(d: ZonalDensity, caps, s: float | None = None):
-    """Probability of caps under the zonal density.
+def zonal_cap_probability(d: ZonalDensity, cap: Cap) -> float:
+    """Probability of a cap under the zonal density.
 
     Splits into the uniform cap measure plus the cap-transform eigenvalue
     term c * lambda_k(s) * P_k(axis . center); when s annihilates the
     eigenvalue the cap probability coincides with the uniform one for
     every cap center.
-
-    `caps` is either one Cap, giving a float, or an (M, n) array of cap
-    centers that share the height `s`, giving an (M,) array.  Center rows
-    must be nonzero and finite and are normalized to unit length.  A Cap
-    is the M = 1 case of the same array expression.
     """
-    if isinstance(caps, Cap):
-        if s is not None:
-            raise ValueError("a Cap carries its own height; do not pass s")
-        centers, s = caps.center[None, :], caps.height
-    else:
-        if s is None:
-            raise ValueError("an array of cap centers needs the height s")
-        centers = PointSet(caps, Provenance("cap centers")).coords
-    if centers.shape[1] != d.dim:
+    if cap.center.size != d.dim:
         raise ValueError("dimension mismatch between density and cap")
-    lam = funk_hecke_lambda(d.dim, d.degree, s)
-    # vecdot runs np.dot's kernel on each row; a matrix product rounds differently.
-    dots = np.clip(np.vecdot(centers, d.axis), -1.0, 1.0)
-    prob = cap_measure(d.dim, s) + d.coefficient * lam * legendre_eval(d.dim, d.degree, dots)
-    return float(prob[0]) if isinstance(caps, Cap) else prob
+    lam = funk_hecke_lambda(d.dim, d.degree, cap.height)
+    p_k = legendre_eval(d.dim, d.degree, float(cap.center @ d.axis))
+    return float(cap_measure(d.dim, cap.height) + d.coefficient * lam * p_k)
 
 
 def positivity_margin(d) -> float:

@@ -400,14 +400,21 @@ def telescoping_check(ps: PointSet, a: float, m: int) -> TelescopeResult:
     psi = _sorted_turns(ps)
     n = ps.size
 
-    pos = np.arange(m + 1, dtype=float) * a
-    frac = pos - np.floor(pos)
-    lo, hi = frac[:-1], frac[1:]
-    # Wrap count of the endpoint walk; equals floor(m*a) in exact arithmetic.
-    k = int(np.count_nonzero(lo > hi))
-    # Points in [lo, hi), or in [lo, 1) and [0, hi) for the k wrapped tiles,
-    # by rank differences on the sorted turns: exact integers.
-    total = int((np.searchsorted(psi, hi, side="left") - np.searchsorted(psi, lo, side="left")).sum())
+    # Tiles go in blocks of _SWEEP_BLOCK, so memory does not grow with m.
+    # A block's endpoints j * a, j = start, ..., stop, are the same floats
+    # as in one arange of all m + 1, and the sums below are of integers, so
+    # no result depends on the blocks.
+    k = total = 0
+    for start in range(0, m, _SWEEP_BLOCK):
+        pos = np.arange(start, min(start + _SWEEP_BLOCK, m) + 1, dtype=float) * a
+        frac = pos - np.floor(pos)
+        lo, hi = frac[:-1], frac[1:]
+        # Wrap count of the endpoint walk; its sum over the blocks equals
+        # floor(m*a) in exact arithmetic.
+        k += int(np.count_nonzero(lo > hi))
+        # Points in [lo, hi), or in [lo, 1) and [0, hi) for the wrapped
+        # tiles, by rank differences on the sorted turns: exact integers.
+        total += int((np.searchsorted(psi, hi, side="left") - np.searchsorted(psi, lo, side="left")).sum())
     total += k * n
     count0 = int(np.searchsorted(psi, frac[-1], side="left"))
     return TelescopeResult(

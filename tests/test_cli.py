@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +20,6 @@ from capdisc import (
     Driver,
     PlanarRationalDensity,
     arc_discrepancy_fixed_length,
-    freak_heights,
     funk_hecke_lambda,
     generate_qud,
     generate_uniform,
@@ -29,6 +29,7 @@ from capdisc import (
 )
 from capdisc.cli import main
 from capdisc.discrepancy import direction_grid
+from capdisc.sphere import unit_vector
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "output.schema.json").read_text())
@@ -164,16 +165,14 @@ def test_verify_caps_pass_and_fail(tmp_path, capsys):
     assert code == 1
     validate(doc)
     assert doc["result"]["passed"] is False
-    # sup over all centers is c * |lambda_3(0)| = 0.05 at the axis; a
-    # 200-direction grid scan gets most of it
+    # sup over all centers is c * |lambda_3(0)| = 0.05, at the axis
     assert 0.045 < doc["result"]["max_deviation"] <= 0.05 + 1e-12
 
 
-# A verify-caps deviation differs from the closed measure level below by
-# the rounding of axis . u and of P_3 on each side and by the rounding of
-# mu(s) + c lambda P_3 - mu(s) in the command.  Measured on the cases below:
-# at most 0.53 units of 2^-53 (ulp(1/2)), and the oracle itself within 0.26
-# units of the exact rational on 2,000-direction grids.
+# verify-caps reports |mu(s) + c lambda_3(s) P_3(axis . axis) - mu(s)|, the
+# supremum over all centers.  It differs from the exact rational below by the
+# rounding of lambda, of axis . axis (within an ulp of 1) and of the sum and
+# difference with mu(s): measured at most 0.625 units of 2^-53 (ulp(1/2)).
 VERIFY_ULPS = 4 * 2.0**-53
 
 
@@ -186,53 +185,43 @@ def _closed_measure_level(n, c, s, axis, dirs):
     return np.abs(c * funk_hecke_lambda(n, 3, s) * (t * ((n + 2) * t * t - 3) / (n - 1)))
 
 
-def _assert_verify_meets_the_measure_level(capsys, n, s, m_dirs, axis, dirs):
-    args = ["verify-caps", "--n", str(n), "--k", "3", "--c", "0.8", "--s", repr(s),
-            "--M", str(m_dirs), "--no-timestamp"]
-    if axis is not None:
-        args.append("--axis=" + ",".join(repr(a) for a in axis))
-    code, doc = run_json(args, capsys)
-    axis = np.eye(n)[-1] if axis is None else np.array(axis)
-    dev = _closed_measure_level(n, 0.8, s, axis, dirs)
-    res = doc["result"]
-    case = (n, s, m_dirs, axis)
-    assert code == (0 if dev.max() <= 1e-9 else 1), case
-    assert abs(res["max_deviation"] - dev.max()) <= VERIFY_ULPS, case
-    # The reported direction is a grid row that attains the maximum to
-    # within the same rounding on both sides.
-    row = np.flatnonzero((dirs == np.array(res["worst_direction"])).all(axis=1))
-    assert row.size and dev[row[0]] >= dev.max() - 2 * VERIFY_ULPS, case
+def _rational_measure_level(n, c, s):
+    # c |lambda_3(s)| in exact rationals of the doubles c and s: lambda_3 is
+    # (1 - s^2)(5 s^2 - 1)/16 at n = 3 and (1 - s^2)^2 (7 s^2 - 1)/32 at n = 5.
+    c, s = Fraction(c), Fraction(s)
+    if n == 3:
+        return abs(c * (1 - s * s) * (5 * s * s - 1) / 16)
+    assert n == 5
+    return abs(c * (1 - s * s) ** 2 * (7 * s * s - 1) / 32)
 
 
 def test_verify_caps_against_the_closed_measure_level(capsys):
-    def axes(n):
-        return {"default": None, "tilted": [0.3, -2.0] + [0.7] * (n - 2), "ones": [1.0] * n}
-
-    for n in (3, 4, 5):
-        freak = freak_heights(n, 2).entries[0].height
-        for s in (freak, 0.1, 0.6, -0.2):
-            for m_dirs in (1, 2, 257, 20000):
-                for axis in axes(n).values():
-                    _assert_verify_meets_the_measure_level(capsys, n, s, m_dirs, axis,
-                                                           direction_grid(n, m_dirs))
-
-
-def test_verify_caps_keeps_the_first_of_tied_maxima(capsys, monkeypatch):
-    # Each ring of four directions shares one last coordinate, hence one
-    # axis . u about the default axis and one deviation.  The z = -0.95
-    # rings (rows 4-7 and 12-15) tie for the maximum; the first is row 4.
-    ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.6, -0.8]])
-    dirs = np.array([[*(np.sqrt(1.0 - z * z) * xy), z]
-                     for z in (0.9, -0.95, 0.6, -0.95) for xy in ring])
-    monkeypatch.setattr(capdisc.cli, "direction_grid", lambda n, M: dirs[:M])
-    for s in (0.0, 0.3, -0.2):
-        code, doc = run_json(["verify-caps", "--n", "3", "--k", "3", "--c", "0.8",
-                              "--s", repr(s), "--M", str(len(dirs)), "--no-timestamp"], capsys)
-        dev = _closed_measure_level(3, 0.8, s, [0.0, 0.0, 1.0], dirs)
-        assert code == 1
-        assert np.flatnonzero(dev == dev.max()).tolist() == [4, 5, 6, 7, 12, 13, 14, 15], s
-        assert abs(doc["result"]["max_deviation"] - dev[4]) <= VERIFY_ULPS, s
-        assert doc["result"]["worst_direction"] == dirs[4].tolist()
+    # The exact supremum over centers, c |lambda_3(s)|, reached at the axis;
+    # a 20,000-direction grid search only bounds it from below.
+    cases = [(3, 0.8, s) for s in (-0.999, -0.5, 0.0, 0.2, float(S5), 0.7, 0.95)]
+    cases += [(5, 0.5, 0.2), (5, 0.5, 1 / math.sqrt(7)), (5, 0.8, -0.6)]
+    for n, c, s in cases:
+        grid = direction_grid(n, 20000)
+        for axis in (None, [1.0, 2.0, 2.0] + [0.5] * (n - 3), [0.3, -2.0] + [0.7] * (n - 2)):
+            args = ["verify-caps", "--n", str(n), "--k", "3", "--c", repr(c), "--s", repr(s),
+                    "--no-timestamp"]
+            if axis is not None:
+                args.append("--axis=" + ",".join(repr(a) for a in axis))
+            code, doc = run_json(args, capsys)
+            validate(doc)
+            res = doc["result"]
+            axis = np.eye(n)[-1] if axis is None else np.array(axis)
+            case = (n, c, s, axis)
+            exact = _rational_measure_level(n, c, s)
+            assert abs(Fraction(res["max_deviation"]) - exact) <= VERIFY_ULPS, case
+            assert code == (0 if res["max_deviation"] <= 1e-9 else 1), case
+            assert res["worst_direction"] == unit_vector(axis).tolist(), case
+            grid_max = _closed_measure_level(n, c, s, axis, grid).max()
+            assert res["max_deviation"] >= grid_max - VERIFY_ULPS, case
+    # Here the 20,000-direction grid search read 1.0258e-2.
+    code, doc = run_json(["verify-caps", "--n", "5", "--k", "3", "--c", "0.5", "--s", "0.2",
+                          "--no-timestamp"], capsys)
+    assert abs(doc["result"]["max_deviation"] - 1.0368e-2) <= VERIFY_ULPS
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -290,14 +279,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_caps_without_directions_exits_two(capsys):
-    for n in ("3", "4"):
-        for m in ("0", "-1"):
-            code = main(["verify-caps", "--n", n, "--k", "3", "--c", "0.8", "--s", S5,
-                         "--M", m, "--no-timestamp"])
-            err = capsys.readouterr().err
-            assert code == 2, (n, m)
-            assert "Traceback" not in err and "capdisc: error:" in err
+def test_verify_caps_result_does_not_depend_on_M(capsys):
+    # --M is accepted and ignored; config still records it.
+    for n in ("3", "5"):
+        results = []
+        for m in ("1", "0", "20000"):
+            code, doc = run_json(["verify-caps", "--n", n, "--k", "3", "--c", "0.8", "--s", "0.3",
+                                  "--M", m, "--no-timestamp"], capsys)
+            assert code == 1 and doc["config"]["M"] == int(m), (n, m)
+            validate(doc)
+            results.append(doc["result"])
+        assert results[0] == results[1] == results[2], n
 
 
 def assert_one_error_line(code, captured):
@@ -337,12 +329,11 @@ def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, message):
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    for name in ("generate_qud", "direction_grid", "load_points"):
+    for name in ("generate_qud", "load_points"):
         monkeypatch.setattr(capdisc.cli, name, no_memory)
     for args in (
         ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "10",
          "--out", str(tmp_path / "p.csv")],
-        ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", "0.3"],
         ["disc", "--in", str(tmp_path / "p.csv"), "--family", "telescope", "--a", "0.3"],
     ):
         code = main(args + ["--no-timestamp"])
@@ -564,7 +555,8 @@ def assert_fresh_run_without_scipy(argv, tmp_path):
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):
     # The runtime needs only numpy: generation, the circle families, the
     # freak heights and the n = 5 cap check run without loading scipy.  The
-    # n = 5 case covers the Halton direction grid.
+    # n = 5 cap check builds no direction grid; cap-fixed-n4 below covers
+    # the Halton grid.
     planar = ["--in", str(tmp_path / "planar.csv")]
     for argv in (
         ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", planar[1]],

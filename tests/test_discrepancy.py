@@ -18,6 +18,7 @@ from capdisc import (
     Driver,
     PointSet,
     Provenance,
+    TelescopeResult,
     ZonalDensity,
     arc_discrepancy_fixed_length,
     cap_discrepancy_fixed_height,
@@ -1057,6 +1058,41 @@ def test_telescoping_beta_approximates_quarter_turn():
     emp = float(np.mean(ps.turns() < 0.25))
     assert res.rhs == pytest.approx(res.k + emp, abs=0.01)
     assert res.lhs == res.rhs
+
+
+def _telescoping_whole(ps, a, m):
+    # The check as one pass over all m + 1 endpoints: the reference for the
+    # blocked walk.
+    psi = np.sort(ps.turns())
+    n = ps.size
+    pos = np.arange(m + 1, dtype=float) * a
+    frac = pos - np.floor(pos)
+    lo, hi = frac[:-1], frac[1:]
+    k = int(np.count_nonzero(lo > hi))
+    total = int((np.searchsorted(psi, hi, side="left") - np.searchsorted(psi, lo, side="left")).sum())
+    total += k * n
+    count0 = int(np.searchsorted(psi, frac[-1], side="left"))
+    return TelescopeResult(lhs=total / n, k=k, beta=float(TWO_PI * frac[-1]),
+                           rhs=(k * n + count0) / n)
+
+
+def test_telescoping_blocks_match_one_pass():
+    ps = pointset_from_turns(np.random.default_rng(33).uniform(0.0, 1.0, 500))
+    block = capdisc.sphere._SWEEP_BLOCK
+    for m in (1, 7, block - 1, block, block + 1, 3 * block + 5):
+        for a in (math.sqrt(2.0) - 1.0, 0.3, 1.0 / 3.0, 0.999):
+            assert telescoping_check(ps, a, m) == _telescoping_whole(ps, a, m), (m, a)
+
+
+def test_telescoping_memory_does_not_grow_with_m():
+    ps = pointset_from_turns(np.random.default_rng(34).uniform(0.0, 1.0, 100))
+    tracemalloc.start()
+    try:
+        telescoping_check(ps, math.sqrt(2.0) - 1.0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the whole-array walk peaked at 30.6 MiB
 
 
 def test_telescoping_validation():
