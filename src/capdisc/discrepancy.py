@@ -55,7 +55,7 @@ class DiscrepancyReport:
 
 @dataclass(frozen=True)
 class TelescopeResult:
-    """Both sides of the wrapped-arc counting identity (they must be equal)."""
+    """Both sides of the wrapped-arc counting identity (equal by construction)."""
 
     lhs: float
     k: int
@@ -385,41 +385,25 @@ def cap_discrepancy_fixed_height(
 def telescoping_check(ps: PointSet, a: float, m: int) -> TelescopeResult:
     """Wrapped-arc counting identity behind density of {m*a mod 1}.
 
-    Tiles [0, 2*pi*m*a) by m consecutive arcs of length 2*pi*a taken mod
-    2*pi, writes 2*pi*m*a = beta + 2*pi*k, and compares the total count
-    over the tiles with k*N plus the count of [0, beta).  Both sides are
-    computed from integer counts, so equality is exact whenever the
-    half-open convention is applied consistently.
+    Tiles the line from 0 by the m intervals [p_j, p_{j+1}) with
+    p_j = fl(j*a), wraps them onto the circle (in turns) and counts each
+    point with multiplicity.  A turn x lies in the j-th tile
+    ceil(p_{j+1} - x) - ceil(p_j - x) times, so the total telescopes to
+    k*N + count([0, beta)) with k = floor(p_m) and beta = 2*pi*frac(p_m):
+    lhs and rhs are equal for every input by construction, and both are
+    read off p_m and one rank query, with no pass over the tiles.  m is
+    at most 2^53, so float(m) is exact.
     """
     if ps.dim != 2:
         raise ValueError("telescoping identity is defined on the circle (dim 2)")
     if not 0.0 < a < 1.0:
         raise ValueError(f"arc fraction must lie in (0, 1), got {a}")
-    if m < 1:
-        raise ValueError(f"need m >= 1 arcs, got {m}")
-    psi = _sorted_turns(ps)
+    if not 1 <= m <= 1 << 53:
+        raise ValueError(f"need 1 <= m <= 2**53 arcs, got {m}")
     n = ps.size
-
-    # Tiles go in blocks of _SWEEP_BLOCK, so memory does not grow with m.
-    # A block's endpoints j * a, j = start, ..., stop, are the same floats
-    # as in one arange of all m + 1, and the sums below are of integers, so
-    # no result depends on the blocks.
-    k = total = 0
-    for start in range(0, m, _SWEEP_BLOCK):
-        pos = np.arange(start, min(start + _SWEEP_BLOCK, m) + 1, dtype=float) * a
-        frac = pos - np.floor(pos)
-        lo, hi = frac[:-1], frac[1:]
-        # Wrap count of the endpoint walk; its sum over the blocks equals
-        # floor(m*a) in exact arithmetic.
-        k += int(np.count_nonzero(lo > hi))
-        # Points in [lo, hi), or in [lo, 1) and [0, hi) for the wrapped
-        # tiles, by rank differences on the sorted turns: exact integers.
-        total += int((np.searchsorted(psi, hi, side="left") - np.searchsorted(psi, lo, side="left")).sum())
-    total += k * n
-    count0 = int(np.searchsorted(psi, frac[-1], side="left"))
-    return TelescopeResult(
-        lhs=total / n,
-        k=k,
-        beta=float(TWO_PI * frac[-1]),
-        rhs=(k * n + count0) / n,
-    )
+    end = float(m) * a
+    k = math.floor(end)
+    frac = end - k  # exact
+    count0 = int(np.count_nonzero(ps.turns() < frac))
+    lhs = (k * n + count0) / n
+    return TelescopeResult(lhs=lhs, k=k, beta=TWO_PI * frac, rhs=lhs)

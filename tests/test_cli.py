@@ -146,6 +146,27 @@ def test_disc_circle_and_telescope(tmp_path, capsys):
     validate(doc)
     assert doc["result"]["exact_match"] is True
     assert doc["result"]["lhs"] == doc["result"]["rhs"]
+    # m up to 2^53 is read off fl(m*a) at once; above it float(m) would
+    # round, so the run ends in one error line.
+    telescope = ["disc", "--in", str(out), "--family", "telescope", "--a", "0.3", "--no-timestamp"]
+    code, doc = run_json(telescope + ["--m", str(2**53)], capsys)
+    assert code == 0
+    validate(doc)
+    assert doc["result"]["k"] == math.floor(float(2**53) * 0.3)
+    code = main(telescope + ["--m", str(2**53 + 1)])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert "2**53" in captured.err
+
+
+@pytest.mark.parametrize("s, expected", [(S5, 0), ("0.5", 1)])
+def test_verify_caps_tol_zero_report_validates(capsys, s, expected):
+    code, doc = run_json(["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", s,
+                          "--tol", "0", "--no-timestamp"], capsys)
+    assert code == expected
+    validate(doc)
+    assert doc["result"]["tol"] == 0.0
+    assert (doc["result"]["max_deviation"] == 0.0) is (expected == 0)
 
 
 def test_verify_caps_pass_and_fail(tmp_path, capsys):

@@ -1061,8 +1061,9 @@ def test_telescoping_beta_approximates_quarter_turn():
 
 
 def _telescoping_whole(ps, a, m):
-    # The check as one pass over all m + 1 endpoints: the reference for the
-    # blocked walk.
+    # The tile walk over all m + 1 endpoints, counting a wrap where a tile's
+    # start exceeds its end: the reference for the closed form wherever
+    # every float step fl((j+1)*a) - fl(j*a) is below 1.
     psi = np.sort(ps.turns())
     n = ps.size
     pos = np.arange(m + 1, dtype=float) * a
@@ -1076,12 +1077,33 @@ def _telescoping_whole(ps, a, m):
                            rhs=(k * n + count0) / n)
 
 
-def test_telescoping_blocks_match_one_pass():
+def test_telescoping_closed_form_matches_the_tile_walk():
     ps = pointset_from_turns(np.random.default_rng(33).uniform(0.0, 1.0, 500))
     block = capdisc.sphere._SWEEP_BLOCK
     for m in (1, 7, block - 1, block, block + 1, 3 * block + 5):
         for a in (math.sqrt(2.0) - 1.0, 0.3, 1.0 / 3.0, 0.999):
             assert telescoping_check(ps, a, m) == _telescoping_whole(ps, a, m), (m, a)
+
+
+@pytest.mark.parametrize("a", [0.9999999999999999, 1.0 - 1e-12, 0.999,
+                               math.sqrt(2.0) - 1.0, 1.0 / 3.0])
+def test_telescoping_matches_exact_tile_counts(a):
+    # Each tile [p_j, p_{j+1}) with p_j = fl(j*a), wrapped onto the circle,
+    # holds a turn x ceil(p_{j+1} - x) - ceil(p_j - x) times, in exact
+    # rational arithmetic.  Near a = 1 a float step can reach 1: that tile
+    # wraps with no drop in its endpoints' fractional parts.
+    rng = np.random.default_rng(35)
+    psi = rng.uniform(0.0, 1.0, 40)
+    ps = pointset_from_turns(psi)
+    turns = [Fraction(float(x)) for x in ps.turns()]
+    for m in (1, 2, 3, 4, *rng.integers(5, 61, 6).tolist()):
+        p = [Fraction(float(j) * a) for j in range(m + 1)]
+        total = sum(math.ceil(hi - x) - math.ceil(lo - x)
+                    for lo, hi in zip(p[:-1], p[1:]) for x in turns)
+        res = telescoping_check(ps, a, m)
+        assert res.k == math.floor(p[m]), (a, m)
+        assert res.lhs == res.rhs == total / len(turns), (a, m)
+        assert res.beta == TWO_PI * float(p[m] - math.floor(p[m])), (a, m)
 
 
 def test_telescoping_memory_does_not_grow_with_m():
@@ -1103,5 +1125,8 @@ def test_telescoping_validation():
         telescoping_check(ps, 1.0, 3)
     with pytest.raises(ValueError):
         telescoping_check(ps, 0.5, 0)
+    with pytest.raises(ValueError):
+        telescoping_check(ps, 0.5, 2**53 + 1)  # float(m) would round
+    assert telescoping_check(ps, 0.5, 2**53).k == 2**52
     with pytest.raises(ValueError):
         telescoping_check(fibonacci_points(5), 0.5, 2)
