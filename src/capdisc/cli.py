@@ -8,9 +8,9 @@ shortest round-trip form, so each double, -0.0 included, reads back as the
 same float.  Exit codes: 0 success, 1 failed verification, 2 configuration
 errors.
 
-main holds the point set that the last gen wrote, and a later disc in the
-same process reuses it, with the bits of a fresh parse, while the file
-still holds the bytes gen wrote.
+main holds the point set that the last gen wrote as CSV, and a later disc
+in the same process reuses it, with the bits of a fresh parse, while the
+file still holds the bytes gen wrote.
 """
 
 from __future__ import annotations
@@ -141,19 +141,19 @@ _held = None
 
 def _points(path, threads):
     """The set gen wrote while the file holds the bytes it wrote
-    (sphere.source_unchanged), else load_points(path, threads).
+    (sphere.source_unchanged), else load_points(path).
 
     The held set gives the bits of a fresh parse: ".17g" round-trips every
-    double, generate_qud's rows are already normalized, so PointSet leaves
-    a parse of them as it is, and load_points' result does not depend on
-    `threads`.  A file that cannot be read, or holds other bytes, goes to
-    load_points, so every error is the one a fresh parse raises.
+    double, and generate_qud's rows are already normalized, so PointSet
+    leaves a parse of them as it is.  A file that cannot be read, or holds
+    other bytes, goes to load_points, so every error is the one a fresh
+    parse raises.
     """
     global _held
     if _held is not None and source_unchanged(path, _held[1], threads=threads):
         return _held[0]
     _held = None  # one set alive at a time
-    return load_points(path, threads=threads)
+    return load_points(path)
 
 
 def _cmd_disc(args) -> int:
@@ -215,18 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the timestamp field for byte-identical reruns")
     threaded = argparse.ArgumentParser(add_help=False, parents=[common])
     threaded.add_argument("--threads", type=int, default=None,
-                          help="worker threads for the cap scan, the arc sweep, gen (the "
-                               "transport, and formatting and digesting the CSV) and reading "
-                               "point files (default: the CPUs this process may run on); the cap "
-                               "scan splits the points into runs whose exact counts are summed, "
-                               "the others split fixed blocks, so results do not depend on the "
-                               "thread count")
+                          help="worker threads for the cap scan, the arc sweep and gen (the "
+                               "transport, and formatting and digesting a CSV) (default: the "
+                               "CPUs this process may run on); the cap scan splits the points "
+                               "into runs whose exact counts are summed, the others split fixed "
+                               "blocks, so results do not depend on the thread count")
 
     parser = argparse.ArgumentParser(prog="capdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[threaded], help="generate a density-uniform point sequence")
-    p_gen.add_argument("--out", default="points.csv", help="points CSV to write (default: points.csv)")
+    p_gen.add_argument("--out", default="points.csv",
+                       help="points file to write: binary for a path ending in .npz, else CSV "
+                            "(default: points.csv)")
     p_gen.add_argument("--density", choices=("planar", "zonal"), required=True)
     p_gen.add_argument("--p", type=int, default=None)
     p_gen.add_argument("--q", type=int, default=None)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.set_defaults(func=_cmd_eigenvalue)
 
     p_disc = sub.add_parser("disc", parents=[threaded], help="discrepancy of a stored point set")
-    p_disc.add_argument("--in", dest="infile", required=True, help="points CSV")
+    p_disc.add_argument("--in", dest="infile", required=True, help="points file: .npz or CSV")
     p_disc.add_argument("--family", choices=("arc-fixed", "cap-fixed", "circle", "telescope"),
                         required=True)
     p_disc.add_argument("--a", type=float, default=None)

@@ -8,6 +8,8 @@ import itertools
 import math
 import os
 import re
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -302,25 +304,36 @@ def _parse_header(line):
 
 
 def save_points(ps: PointSet, path, threads: int = 1):
-    """Write a point set as CSV: a provenance header, then one row per point
-    of its coordinates as format(x, ".17g"), split by "," and ended by "\n".
-    The header is one line, so a generator label with "\n" or "\r" is a
-    ValueError, raised, like a bad `threads`, before `path` is opened.
+    """Write a point set: an .npz for a path ending in ".npz", else CSV.
+    Both start from the header line "# dim=<n> generator=<label>
+    seed=<int>", so a generator label with "\n" or "\r" is a ValueError,
+    raised, like a bad `threads`, before `path` is opened.
 
-    Rows go _WRITE_ROWS at a time through _format_fields, so the writer's
-    temporaries are O(block) beside the point set.  With `threads` >= 2 a
-    pool formats and digests the blocks, at most 2 * threads of them ahead
-    of the calling thread, which writes them in order; the bytes do not
-    depend on `threads`.  An error in a block or a write cancels the blocks
-    not yet started, waits for the others and propagates.  Returns the
-    (start, end, BLAKE2b digest) of the header and of each block written,
-    end to end over the file, for source_unchanged; None where the
-    interpreter lacks _blake2.
+    The .npz is a zip of two stored .npy members, `coords` (the (N, n)
+    float64 array) and `header` (the header line as a 0-d unicode array),
+    dated 1980-01-01, so its bytes depend only on the set; None is
+    returned for it.
+
+    The CSV holds the header, then one row per point of its coordinates as
+    format(x, ".17g"), split by "," and ended by "\n".  Rows go _WRITE_ROWS
+    at a time through _format_fields, so the writer's temporaries are
+    O(block) beside the point set.  With `threads` >= 2 a pool formats and
+    digests the blocks, at most 2 * threads of them ahead of the calling
+    thread, which writes them in order; the bytes do not depend on
+    `threads`.  An error in a block or a write cancels the blocks not yet
+    started, waits for the others and propagates.  Returns the (start, end,
+    BLAKE2b digest) of the header and of each block written, end to end
+    over the file, for source_unchanged; None where the interpreter lacks
+    _blake2.
     """
     if threads < 1:
         raise ValueError(f"need at least one thread, got threads={threads}")
     if "\n" in ps.provenance.generator or "\r" in ps.provenance.generator:
         raise ValueError(f"generator label holds a line break: {ps.provenance.generator!r}")
+    header = f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}"
+    if _is_npz(path):
+        _save_npz(ps, path, header)
+        return None
     try:
         # Not hashlib, whose import loads OpenSSL; imported per call, so
         # that importing the package does not load it.
@@ -337,7 +350,7 @@ def save_points(ps: PointSet, path, threads: int = 1):
         data = _format_fields(x, seps[: x.size])
         return data, digest(data)
 
-    header = f"# dim={ps.dim} generator={ps.provenance.generator} seed={ps.provenance.seed}\n".encode()
+    header = f"{header}\n".encode()
     starts = range(0, ps.size, _WRITE_ROWS)
     spans = []
     with open(path, "wb") as fh:
@@ -490,20 +503,19 @@ def _format_fields(x, seps):
     return data[_KEEP_RUNS[_SLOT_BYTES * start + stop].reshape(-1)]
 
 
-def load_points(path, threads: int = 1) -> PointSet:
-    """Read a point set written by save_points.
+def load_points(path) -> PointSet:
+    """Read a point set written by save_points: an .npz for a path ending
+    in ".npz", else CSV.
 
-    Blank and whitespace-only lines are skipped; any other malformed row
-    (ragged, empty field, non-numeric token, comment) raises ValueError.
-    Every value equals float(token).  A body in the layout save_points
-    writes is parsed as arrays (_read_layout), its chunks on up to
-    `threads` (>= 1) threads; any other body, and every body on a platform
-    without a 64-bit long double, goes to np.loadtxt.  The chunks do not
-    depend on `threads`, so neither does the result.
+    CSV goes to np.loadtxt, so every value equals float(token).  Blank and
+    whitespace-only lines are skipped; any other malformed row (ragged,
+    empty field, non-numeric token, comment) raises ValueError.  An .npz is
+    read by np.load with no pickle; a file that is not a zip or is
+    corrupt, lacks a member, or holds a `coords` that is not a 2-D float64
+    array of the header's width raises ValueError.
     """
-    read = _read_layout(path, threads)
-    if read is not None:
-        return PointSet._adopt(*read)
+    if _is_npz(path):
+        return _load_npz(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         parsed = _parse_header(header)
@@ -522,101 +534,41 @@ def load_points(path, threads: int = 1) -> PointSet:
     return PointSet._adopt(coords, provenance)
 
 
-# Body bytes per read of the array reader.  The body is cut after the last
-# newline of each read, so each thread's temporaries are O(chunk) beside
-# the result.
-_CSV_CHUNK = 1 << 18
-
-# A token's fraction digits, right-aligned in three 8-digit uint64 words.
-_DIGIT_SLOTS = 24
-
-# Powers of ten below 2^64; 10^0 .. 10^24 in long double, exact in a 64-bit
-# mantissa (5^27 < 2^63); and per fraction length k the byte mask that keeps
-# the k right-aligned digits of three 8-digit words.
-_POW10_U64 = 10 ** np.arange(19, dtype=np.uint64)
-_POW10_LD = np.cumprod(np.full(_DIGIT_SLOTS + 1, 10, dtype=np.longdouble)) / 10
-_FRACTION_MASK = (
-    np.where(np.arange(_DIGIT_SLOTS) >= _DIGIT_SLOTS - np.arange(_DIGIT_SLOTS + 1)[:, None], 255, 0)
-    .astype(np.uint8).view("<u8").astype(np.uint64)
-)
-
-# The numbers the array reader hands to float(); np.loadtxt reads each of
-# them to the same double.
-_NUMBER_RE = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+def _is_npz(path):
+    return os.fspath(path).endswith(".npz")
 
 
-def _read_layout(path, threads=1):
-    """(coords, provenance) read from `path` when every body row is
-    `dim` fields of _NUMBER_RE split by "," and ended by "\n" (the last "\n"
-    optional) under an ASCII header; None for any other file, which
-    np.loadtxt then reads.
+def _save_npz(ps, path, header):
+    # Each member under a bare ZipInfo (dated 1980-01-01, stored), so the
+    # bytes depend only on the set; zip64 as np.savez writes them.
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in (("coords", ps.coords), ("header", np.array(header))):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
 
-    A first pass reads the body in _CSV_CHUNK reads and cuts it after the
-    last newline of each, counting the rows of every piece.  The pieces are
-    then parsed through _map_blocks, each into its own rows of one (N, n)
-    array for PointSet to adopt; one piece that is not in the layout sends
-    the whole file to np.loadtxt.
-    """
-    if np.finfo(np.longdouble).nmant < 63:
-        return None
-    chunk = _CSV_CHUNK
+
+def _load_npz(path):
+    # The signature check turns an empty file, an .npy and a text file into
+    # one error, where np.load would raise EOFError, return an array or try
+    # a pickle.
     with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
-            return None
-        parsed = _parse_header(line[:-1].decode("ascii"))
-        if parsed is None:
-            return None
-        dim, provenance = parsed
-        pieces = []  # (first byte, end byte, first row, rows)
-        start = end = fh.tell()
-        rows = 0
-        buf = bytearray(chunk)
-        with memoryview(buf) as mv:
-            while got := fh.readinto(mv):
-                last = buf.rfind(b"\n", 0, got)
-                if last >= 0:
-                    n = buf.count(b"\n", 0, last + 1)
-                    pieces.append((start, end + last + 1, rows, n))
-                    start, rows = end + last + 1, rows + n
-                elif got == chunk:
-                    return None  # a row longer than one read
-                end += got
-    if start < end:  # the last row has no newline
-        pieces.append((start, end, rows, 1))
-        rows += 1
-    # Every field takes at least one digit and one separator.
-    if dim < 2 or rows == 0 or 2 * rows * dim > end - pieces[0][0] + 1:
-        return None
-    coords = np.empty((rows, dim))
-    failed = []  # one failed piece sends the file to np.loadtxt: stop early
-
-    def parse(piece):
-        start, end, row, n = piece
-        if failed:
-            return False
-        # _DIGIT_SLOTS bytes of "0" (every field then has 24 bytes before
-        # its end), the piece, and a newline if the piece has none.
-        size = end - start
-        buf = bytearray(_DIGIT_SLOTS + size + 1)
-        buf[:_DIGIT_SLOTS] = b"0" * _DIGIT_SLOTS
-        with open(path, "rb") as fh, memoryview(buf) as mv:
-            fh.seek(start)
-            got = fh.readinto(mv[_DIGIT_SLOTS : _DIGIT_SLOTS + size])
-        cut = _DIGIT_SLOTS + size
-        if buf[cut - 1] != ord("\n"):
-            buf[cut] = ord("\n")
-            cut += 1
-        vals = _parse_fields(buf, cut, dim) if got == size else None
-        if vals is None or vals.size != n * dim:
-            failed.append(start)
-            return False
-        coords[row : row + n] = vals.reshape(n, dim)
-        return True
-
-    if not all(_map_blocks(parse, pieces, threads)):
-        return None
-    return coords, provenance
+        if fh.read(4) != b"PK\x03\x04":
+            raise ValueError("an .npz point file must be a zip archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as z:
+                header, coords = z["header"], z["coords"]
+        except (KeyError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ValueError(f"unreadable .npz point file: {type(exc).__name__}: {exc}") from None
+    parsed = _parse_header(str(header)) if header.dtype.kind == "U" and header.ndim == 0 else None
+    if parsed is None:
+        raise ValueError(f"malformed point-set header: {header!r}")
+    dim, provenance = parsed
+    if coords.dtype != np.float64 or coords.ndim != 2:
+        raise ValueError(f"coords must be a 2-D float64 array, got {coords.ndim}-D {coords.dtype}")
+    if coords.shape[1] != dim:
+        raise ValueError(f"point rows do not match declared dim={dim}")
+    return PointSet._adopt(coords, provenance)
 
 
 def source_unchanged(path, source, threads: int = 1) -> bool:
@@ -658,80 +610,3 @@ def _spans_unchanged(path, spans, size):
     except OSError:
         return False
     return True
-
-
-def _parse_fields(buf, cut, dim):
-    """The fields of buf[_DIGIT_SLOTS:cut], whole rows ending in "\n", in
-    row-major order; None unless every row is `dim` fields of _NUMBER_RE.
-
-    A field -?D.F with one integer digit D and a fraction F of at most 24
-    digits, whose digits read as an integer M < 10^19, is M / 10^len(F)
-    divided in long double: both operands are exact, so the quotient is
-    rounded once to 64 bits, and rounding it on to float64 gives float(field)
-    unless the quotient lies exactly on a float64 midpoint.  Midpoints and
-    every other field go through float().
-    """
-    padded = np.frombuffer(buf, np.uint8, count=cut)
-    b = padded[_DIGIT_SLOTS:]
-    at = np.flatnonzero(b - 48 > 9)  # every byte but a digit
-    c = b[at]
-    sep = (c == 44) | (c == 10)  # "," and "\n"
-    ends = at[sep]
-    n = ends.size
-    if n % dim:
-        return None
-    seps = c[sep].reshape(-1, dim)
-    if np.any(seps[:, -1] != 10) or np.any(seps[:, :-1] != 44):
-        return None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    # Non-digits per field: just the "." of -?D.F and the sign.
-    marks = np.diff(np.flatnonzero(sep), prepend=-1) - 1
-    neg = b[starts] == 45
-    k = ends - starts - neg - 2  # len(F); at least -2
-    ok = (marks == 1 + neg) & (b[np.minimum(starts + neg + 1, ends)] == 46)
-    ok &= (k >= 1) & (k <= _DIGIT_SLOTS)
-    # Every field is converted; the fields that are not -?D.F give garbage
-    # (k > 24 is clipped, k < 0 wraps round the tables) and go to float().
-    np.minimum(k, _DIGIT_SLOTS, out=k)
-
-    # Each fraction right-aligned in 24 byte slots, read as three 8-digit
-    # words by Lemire's SWAR conversion; XOR, unlike a subtraction, leaves
-    # the masked-off bytes no borrow to pass on.
-    v = np.lib.stride_tricks.sliding_window_view(padded, _DIGIT_SLOTS)[ends]
-    v = v.view("<u8").astype(np.uint64, copy=False)
-    v ^= 0x3030303030303030
-    v &= np.take(_FRACTION_MASK, k, axis=0)
-    tmp = v >> 8
-    v *= 10
-    v += tmp
-    np.right_shift(v, 16, out=tmp)
-    tmp &= 0xFF000000FF
-    tmp *= 1 + (10000 << 32)
-    v &= 0xFF000000FF
-    v *= 100 + (1000000 << 32)
-    v += tmp
-    v >>= 32
-    lead = (padded[ends - k + (_DIGIT_SLOTS - 2)] ^ 48).astype(np.uint64)
-    # M < 10^19: the top word's 5 highest slots are "0", and a nonzero
-    # integer digit leaves room for at most 18 fraction digits.
-    ok &= (v[:, 0] < 1000) & ((lead == 0) | (k <= 18))
-    mant = v[:, 0] * 10**16 + v[:, 1] * 10**8 + v[:, 2]
-    mant += lead * _POW10_U64[np.minimum(k, 18)]
-    q = mant.astype(np.longdouble)
-    q /= _POW10_LD[k]
-    x = q.astype(np.float64)
-    # q is a midpoint of x and a neighbour iff 2q - x (exact) is a float64.
-    xl = x.astype(np.longdouble)
-    m = q * 2
-    m -= xl
-    ok &= (q == xl) | (m.astype(np.float64) != m)
-    np.negative(x, out=x, where=neg)
-
-    for i in np.flatnonzero(~ok).tolist():
-        field = buf[_DIGIT_SLOTS + starts[i] : _DIGIT_SLOTS + ends[i]]
-        if not _NUMBER_RE.fullmatch(field):
-            return None
-        x[i] = float(field)
-    return x

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -675,9 +676,9 @@ def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
     seen = []
 
     def spy(name, call):
-        def counted(*args, threads):
-            seen.append((name, threads))
-            return call(*args, threads=threads)
+        def counted(*args, **kwargs):
+            seen.append((name, kwargs.get("threads")))
+            return call(*args, **kwargs)
         return counted
 
     for name in ("generate_qud", "source_unchanged", "load_points"):
@@ -692,8 +693,8 @@ def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
             assert main(argv + ["--json", str(out), "--no-timestamp"]) == 0, argv
             reports[name, cpus] = out.read_bytes()
     # Each round's arc reuses the set its gen wrote, after a check of the
-    # file; its circle parses the file.
-    assert seen == [(name, cpus) for cpus in (1, 3)
+    # file; its circle parses the file, which takes no threads.
+    assert seen == [(name, None if name == "load_points" else cpus) for cpus in (1, 3)
                     for name in ("generate_qud", "source_unchanged", "load_points")]
     for name in commands:
         assert reports[name, 1] == reports[name, 3], name
@@ -704,9 +705,9 @@ def count_loads(monkeypatch):
     loads = []
     load = capdisc.cli.load_points
 
-    def counted(path, threads=1):
+    def counted(path):
         loads.append(str(path))
-        return load(path, threads=threads)
+        return load(path)
 
     monkeypatch.setattr(capdisc.cli, "load_points", counted)
     return loads
@@ -779,7 +780,7 @@ def test_discs_of_a_file_gen_did_not_write_parse_it_each_time(tmp_path, monkeypa
 def test_gen_holds_the_bits_a_load_of_its_file_gives(tmp_path, density, threads):
     path = tmp_path / "p.csv"
     assert main(["gen", *GEN_ARGS[density], "--threads", threads, "--out", str(path)]) == 0
-    held, fresh = capdisc.cli._held[0], load_points(path, threads=int(threads))
+    held, fresh = capdisc.cli._held[0], load_points(path)
     assert held.coords.shape == fresh.coords.shape and held.coords.dtype == fresh.coords.dtype
     assert held.coords.tobytes() == fresh.coords.tobytes()
     assert held.provenance == fresh.provenance
@@ -874,7 +875,7 @@ def test_gen_whose_block_fails_exits_two_and_leaves_no_thread(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("argv", [
-    ["disc", "--family", "circle"],  # the CRLF file goes to np.loadtxt, which has no threads
+    ["disc", "--family", "circle"],  # neither the circle nor the CSV read takes threads
     ["disc", "--family", "arc-fixed", "--a", "0.3"],
     ["freak-heights", "--n", "3", "--max-degree", "6"],
     ["eigenvalue", "--n", "3", "--k", "1", "--s", "0.1"],
@@ -898,3 +899,126 @@ def test_fewer_than_one_thread_exits_two_for_every_command(tmp_path, capsys, arg
         captured = capsys.readouterr()
         assert_one_error_line(code, captured)
         assert captured.err == f"capdisc: error: need at least one thread, got threads={threads}\n"
+
+
+def write_members(path, members):
+    """A zip of .npy members (name, array), written as save_points does."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in members:
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=arr.dtype.hasobject)
+
+
+_HEADER = np.array("# dim=2 generator=hand seed=0")
+_UNIT = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
+_BAD_NPZ = {
+    "empty": "must be a zip archive",
+    "truncated": "BadZipFile",
+    "bad-deflate": "error: Error -3 while decompressing",
+    "csv": "must be a zip archive",
+    "npy": "must be a zip archive",
+    "no-header": "header is not a file in the archive",
+    "no-coords": "coords is not a file in the archive",
+    "int-coords": "2-D float64 array, got 2-D int64",
+    "flat-coords": "2-D float64 array, got 1-D float64",
+    "dim-mismatch": "do not match declared dim=2",
+    "bad-header": "malformed point-set header",
+    "pickled": "allow_pickle=False",
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_NPZ))
+def test_bad_npz_exits_two_with_one_error_line(tmp_path, capsys, case):
+    message = _BAD_NPZ[case]
+    path = tmp_path / "bad.npz"
+    if case == "empty":
+        path.write_bytes(b"")
+    elif case == "truncated":
+        save_points(generate_uniform(2, 1000, "kronecker_s1"), path)
+        path.write_bytes(path.read_bytes()[:10_000])
+    elif case == "bad-deflate":
+        # np.savez_compressed deflates its members; the stream is cut short.
+        np.savez_compressed(path, coords=_UNIT, header=_HEADER)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"coords.npy") + len("coords.npy") + 20  # past its zip64 extra
+        data[start : start + 8] = b"\xff" * 8
+        path.write_bytes(bytes(data))
+    elif case == "csv":
+        path.write_text("# dim=2 generator=hand seed=0\n1,0\n")
+    elif case == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, _UNIT)
+    else:
+        members = {
+            "no-header": [("coords", _UNIT)],
+            "no-coords": [("header", _HEADER)],
+            "int-coords": [("coords", _UNIT.astype(np.int64)), ("header", _HEADER)],
+            "flat-coords": [("coords", _UNIT[0]), ("header", _HEADER)],
+            "dim-mismatch": [("coords", np.eye(3)), ("header", _HEADER)],
+            "bad-header": [("coords", _UNIT), ("header", np.array(["x"]))],
+            "pickled": [("coords", _UNIT.astype(object)), ("header", _HEADER)],
+        }[case]
+        write_members(path, members)
+    with pytest.raises(ValueError, match=message):
+        load_points(path)
+    code = main(["disc", "--in", str(path), "--family", "circle", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured)
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_npz_written_by_hand_reads_like_save_points(tmp_path):
+    # The helper above writes what save_points writes, so the cases there
+    # differ from a good file only in the member they change.
+    path = tmp_path / "good.npz"
+    write_members(path, [("coords", _UNIT), ("header", _HEADER)])
+    ps = load_points(path)
+    assert ps.coords.tolist() == _UNIT.tolist()
+    save_points(ps, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("density", sorted(GEN_ARGS))
+def test_gen_npz_bytes_do_not_depend_on_threads_and_hold_nothing(tmp_path, density):
+    data = []
+    for threads in ("1", "2", "3"):
+        path = tmp_path / f"t{threads}.npz"
+        assert main(["gen", *GEN_ARGS[density], "--threads", threads, "--out", str(path)]) == 0
+        assert capdisc.cli._held is None  # no digests of an .npz
+        data.append(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            assert all(i.date_time == (1980, 1, 1, 0, 0, 0) for i in zf.infolist())
+    assert data[0] == data[1] == data[2]
+    csv = tmp_path / "p.csv"
+    assert main(["gen", *GEN_ARGS[density], "--out", str(csv)]) == 0
+    npz, fresh = load_points(tmp_path / "t1.npz"), load_points(csv)
+    assert npz.coords.tobytes() == fresh.coords.tobytes() and npz.provenance == fresh.provenance
+
+
+def test_disc_of_an_npz_reports_what_the_csv_of_the_same_set_does(tmp_path):
+    # In this process after each gen (the CSV's disc reuses the held set,
+    # the .npz's reads its file) and in a fresh process.
+    runs = {
+        "planar": [["--family", "arc-fixed", "--a", "0.3"], ["--family", "circle"],
+                   ["--family", "telescope", "--a", "0.3", "--m", "7"]],
+        "zonal": [["--family", "cap-fixed", "--s", "0", "--M", "300", "--refine", "4"]],
+    }
+    out = tmp_path / "r.json"
+    for density, argvs in runs.items():
+        results = {}
+        for suffix in ("csv", "npz"):
+            path = str(tmp_path / f"{density}.{suffix}")
+            assert main(["gen", *GEN_ARGS[density], "--out", path]) == 0
+            for i, argv in enumerate(argvs):
+                disc = ["disc", "--in", path, *argv, "--no-timestamp", "--json", str(out)]
+                assert main(disc) == 0
+                results[suffix, i, "held"] = json.loads(out.read_text())["result"]
+                proc = run_fresh(f"import capdisc.cli, sys\nsys.exit(capdisc.cli.main({disc!r}))\n",
+                                 tmp_path)
+                assert proc.returncode == 0, proc.stderr
+                results[suffix, i, "fresh"] = json.loads(out.read_text())["result"]
+        for i in range(len(argvs)):
+            want = results["csv", i, "fresh"]
+            assert all(results[key] == want for key in results if key[1] == i), (density, i)

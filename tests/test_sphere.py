@@ -7,12 +7,13 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import beta, betainc, ndtri
@@ -20,6 +21,8 @@ from scipy.special import beta, betainc, ndtri
 import capdisc.sphere as sphere
 from capdisc import (
     Cap,
+    Driver,
+    PlanarRationalDensity,
     PointSet,
     Provenance,
     ZonalDensity,
@@ -27,6 +30,7 @@ from capdisc import (
     cap_measure,
     circle_discrepancy,
     fibonacci_sphere,
+    generate_qud,
     generate_uniform,
     load_points,
     radical_inverse,
@@ -430,10 +434,10 @@ def test_pointset_rescales_rows_whose_norm_overflows(tmp_path):
 def test_csv_round_trip(tmp_path, threads=1):
     ps = PointSet(fibonacci_sphere(37), Provenance("fibonacci(N=37)", 9))
     path = tmp_path / "pts.csv"
-    save_points(ps, path)
+    save_points(ps, path, threads=threads)
     header = path.read_text().splitlines()[0]
     assert header == "# dim=3 generator=fibonacci(N=37) seed=9"
-    again = load_points(path, threads=threads)
+    again = load_points(path)
     assert np.array_equal(again.coords, ps.coords)
     assert again.provenance == ps.provenance
     # lossless serialization and stable re-save
@@ -445,8 +449,8 @@ def test_csv_round_trip(tmp_path, threads=1):
 def test_csv_seventeen_significant_digits(tmp_path, threads=1):
     ps = generate_uniform(3, 5, "random", seed=8)
     path = tmp_path / "p.csv"
-    save_points(ps, path)
-    assert same_bits(load_points(path, threads=threads).coords, ps.coords)
+    save_points(ps, path, threads=threads)
+    assert same_bits(load_points(path).coords, ps.coords)
     for line, row in zip(path.read_text().splitlines()[1:], ps.coords):
         for tok, val in zip(line.split(","), row):
             assert float(tok) == val
@@ -489,9 +493,9 @@ def edge_value_pointset():
 )
 def test_csv_matches_reference_writer_and_reloads_bit_identical(tmp_path, ps, threads=1):
     path = tmp_path / "pts.csv"
-    save_points(ps, path)
+    save_points(ps, path, threads=threads)
     assert path.read_bytes() == reference_csv(ps)
-    again = load_points(path, threads=threads)
+    again = load_points(path)
     assert again.coords.shape == ps.coords.shape
     assert np.array_equal(again.coords.view(np.int64), ps.coords.view(np.int64))
     assert again.provenance == ps.provenance
@@ -561,43 +565,15 @@ def test_csv_malformed_body(tmp_path, capsys, body, reason):
 
 
 @_MALFORMED_BODIES
-def test_csv_malformed_body_on_two_threads(tmp_path, monkeypatch, capsys, body, reason):
-    # 4-byte reads cut most bodies into several pieces; the error is the
-    # one a single thread gives, from load_points and from the CLI.
+def test_csv_malformed_body_on_two_threads(tmp_path, capsys, body, reason):
+    # A disc on two threads reports the error load_points raises.
     path = tmp_path / "bad.csv"
     path.write_text("# dim=2 generator=bad seed=0\n" + body)
-    with pytest.raises(ValueError) as one:
-        load_points(path, threads=1)
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", 4)
-    with pytest.raises(ValueError, match=reason) as two:
-        load_points(path, threads=2)
-    assert str(two.value) == str(one.value)
+    with pytest.raises(ValueError, match=reason) as one:
+        load_points(path)
     args = ["disc", "--in", str(path), "--family", "circle", "--no-timestamp", "--threads", "2"]
     assert main(args) == 2
     assert capsys.readouterr().err == f"capdisc: error: {one.value}\n"
-
-
-# The array reader needs a long double with a 64-bit mantissa (as on x86-64);
-# elsewhere every file takes np.loadtxt.
-ARRAY_READER = np.finfo(np.longdouble).nmant >= 63
-needs_array_reader = pytest.mark.skipif(
-    not ARRAY_READER, reason="no 64-bit long double: every file takes np.loadtxt"
-)
-
-
-def _no_loadtxt(*args, **kwargs):
-    raise AssertionError("np.loadtxt was called")
-
-
-def force_reader(monkeypatch, reader):
-    """Make load_points take one path: "array" fails if np.loadtxt runs,
-    "loadtxt" turns the array reader off."""
-    if reader == "array":
-        if not ARRAY_READER:
-            pytest.skip("no 64-bit long double: every file takes np.loadtxt")
-        monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
-    else:
-        monkeypatch.setattr(sphere, "_read_layout", lambda path, threads=1: None)
 
 
 def write_body(path, body, dim=2):
@@ -605,12 +581,12 @@ def write_body(path, body, dim=2):
     return path
 
 
-def read_array(path):
-    """The raw (N, n) values of the array reader, before PointSet; fails
-    when the file would go to np.loadtxt."""
-    read = sphere._read_layout(path)
-    assert read is not None, "the array reader handed the file to np.loadtxt"
-    return read[0]
+def read_raw(path):
+    """The (N, n) values load_points hands to PointSet, before it checks and
+    normalizes them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PointSet, "_adopt", classmethod(lambda cls, arr, provenance: arr))
+        return load_points(path)
 
 
 def same_bits(a, b):
@@ -631,21 +607,9 @@ _CSV_CHECKS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("reader", ["array", "loadtxt"])
 @_CSV_CHECKS
-def test_csv_checks_through_each_reader(tmp_path, monkeypatch, reader, check):
-    # "array" runs with np.loadtxt patched to raise, so save_points files
-    # cannot drift off the array path without a failure here.
-    force_reader(monkeypatch, reader)
-    check(tmp_path)
-
-
-@_CSV_CHECKS
-def test_csv_checks_on_two_threads(tmp_path, monkeypatch, check):
-    # 1 KiB reads cut every file into pieces parsed on two threads, none of
-    # them through np.loadtxt.
-    force_reader(monkeypatch, "array")
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", 1 << 10)
+def test_csv_checks_on_two_threads(tmp_path, check):
+    # The same checks with the writer's pool formatting the blocks.
     check(tmp_path, threads=2)
 
 
@@ -657,20 +621,19 @@ _EDGE_DOUBLES = [
 ]
 
 
-@needs_array_reader
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
 @example(_EDGE_DOUBLES)
 @example([2.0**e for e in range(-1074, 1024, 7)])
 @example([math.nextafter(1e-4, 0.0), 1e-4, -math.nextafter(1e-4, 1.0), 1.0000000000000002e-4])
-def test_array_reader_returns_float_of_every_17g_token(tmp_path, xs):
+def test_load_points_returns_float_of_every_17g_token(tmp_path, xs):
     # Subnormals, +-0, 1 - 2^-53, powers of two and both sides of 1e-4,
     # where %.17g switches to e-notation.
     if len(xs) % 2:
         xs = xs + [1.0]
     tokens = [format(x, ".17g") for x in xs]
     body = "".join(f"{a},{b}\n" for a, b in zip(tokens[::2], tokens[1::2])).encode()
-    got = read_array(write_body(tmp_path / "x.csv", body))
+    got = read_raw(write_body(tmp_path / "x.csv", body))
     want = np.array([float(t) for t in tokens]).reshape(-1, 2)
     assert same_bits(got, want)
 
@@ -881,115 +844,6 @@ def test_save_points_write_error_propagates_and_joins_its_threads(threads):
     assert threading.active_count() == before
 
 
-def near_midpoint(x):
-    """Decimals of 19 significant digits on each side of the midpoint of x
-    and its upper neighbour, with whether a 64-bit rounding of each lands
-    exactly on that midpoint."""
-    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
-    k = 18 if x >= 1.0 else 19
-    half_ulp64 = Fraction(2) ** (math.floor(math.log2(mid)) - 64)
-    out = []
-    for m in (math.floor(mid * 10**k), math.ceil(mid * 10**k)):
-        digits = str(m).rjust(k + 1, "0")
-        token = digits[:-k] + "." + digits[-k:]
-        out.append((token, abs(Fraction(token) - mid) < half_ulp64))
-    return out
-
-
-@needs_array_reader
-def test_array_reader_re_parses_a_quotient_on_a_midpoint(tmp_path):
-    token = "0.7637982415147163695"
-    mant = np.uint64(7637982415147163695).astype(np.longdouble)
-    naive = float((mant / np.uint64(10**19).astype(np.longdouble)).astype(np.float64))
-    assert naive.hex() == "0x1.871090281895ap-1"  # rounded twice
-    assert float(token).hex() == "0x1.8710902818959p-1"
-    for sign in ("", "-"):
-        got = read_array(write_body(tmp_path / "m.csv", f"{sign}{token},1\n".encode()))
-        assert got[0, 0] == float(sign + token) and got[0, 1] == 1.0
-
-
-@needs_array_reader
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.floats(min_value=0.1, max_value=9.875), st.booleans())
-def test_array_reader_matches_float_next_to_midpoints(tmp_path, x, negative):
-    # 19- and 20-digit decimals whose long-double quotient is exactly a
-    # float64 midpoint, so only the float() fallback rounds them right.
-    cases = near_midpoint(x)
-    assume(any(on for _, on in cases))
-    tokens = [("-" if negative else "") + token for token, _ in cases]
-    got = read_array(write_body(tmp_path / "m.csv", ",".join(tokens).encode() + b"\n"))
-    assert same_bits(got, np.array([[float(t) for t in tokens]]))
-
-
-@needs_array_reader
-def test_array_reader_at_the_limits_of_the_digit_words(tmp_path):
-    # M < 10^19 fits a uint64; 19 digits after a nonzero integer digit, 20
-    # significant digits, or more than 24 fraction digits go to float().
-    tokens = [
-        "9.999999999999999999", "9.9999999999999999999", "1.8446744073709551615",
-        "0.9999999999999999999", "0.99999999999999999999", "0.18446744073709551616",
-        "0.123456789012345678901234", "0.1234567890123456789012345",
-        "0.000000000000000000000001", "0.0000000000000000000000001", "-0.000000000000000000000000",
-        "0.1", "-5.5", "1.", "0", "-0", "12.5", "007.25", "1e5", "-1.5E-3", "2.5e+2",
-    ]
-    got = read_array(write_body(tmp_path / "t.csv", ",".join(tokens).encode() + b"\n",
-                                dim=len(tokens)))
-    assert same_bits(got, np.array([[float(t) for t in tokens]]))
-
-
-@needs_array_reader
-@pytest.mark.parametrize("chunk", [41, 64, 100, 257, 1000])
-@pytest.mark.parametrize("newline_at_end", [True, False])
-def test_array_reader_rows_straddle_chunk_edges(tmp_path, monkeypatch, chunk, newline_at_end):
-    ps = edge_value_pointset()
-    path = tmp_path / "pts.csv"
-    save_points(ps, path)
-    if not newline_at_end:
-        path.write_bytes(path.read_bytes()[:-1])
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", chunk)
-    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
-    assert same_bits(load_points(path).coords, ps.coords)
-
-
-@needs_array_reader
-def test_row_longer_than_a_chunk_goes_to_loadtxt(tmp_path, monkeypatch):
-    path = write_body(tmp_path / "long.csv", b"0.5,0.25\n" + b"0.6," * 9 + b"0.8\n", dim=2)
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", 16)
-    assert sphere._read_layout(path) is None
-    with pytest.raises(ValueError, match="number of columns"):
-        load_points(path)
-
-
-@needs_array_reader
-def test_threaded_reader_under_frequent_thread_switches(tmp_path, monkeypatch):
-    # Eight threads over 1 KiB pieces, switching every microsecond: each
-    # piece fills only its own rows, so every bit matches the saved array.
-    ps = generate_uniform(3, 5000, "random", seed=6)
-    path = tmp_path / "pts.csv"
-    save_points(ps, path)
-    force_reader(monkeypatch, "array")
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", 1 << 10)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = load_points(path, threads=8).coords
-    finally:
-        sys.setswitchinterval(interval)
-    assert same_bits(got, ps.coords)
-
-
-@needs_array_reader
-def test_valid_row_longer_than_a_chunk_goes_to_loadtxt(tmp_path, monkeypatch):
-    # A read with no newline would make a piece longer than two reads, so
-    # the reader keeps its O(chunk) buffers and hands the file on.
-    tokens = ["0.5"] * 11 + ["-0.25"]
-    path = write_body(tmp_path / "wide.csv", (",".join(tokens) + "\n").encode() * 2, dim=12)
-    monkeypatch.setattr(sphere, "_CSV_CHUNK", 16)
-    assert sphere._read_layout(path, threads=2) is None
-    want = PointSet([[float(t) for t in tokens]] * 2, Provenance("g", 1))
-    assert same_bits(load_points(path, threads=2).coords, want.coords)
-
-
 _BODY_PIECES = ["0", "7", "1", ".", "-", "e", "E", "+", ",", "\n", " ", "\r", "#", "x",
                 "0.5", "-0.25", "1e-5", "0.1234567890123456789012345", "9.99999999999999999",
                 "\n\n", ",,", "\xe9", "inf", "nan", "1_0", "1e999"]
@@ -1007,34 +861,21 @@ _BODIES = st.one_of(
 
 @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_BODIES, st.sampled_from([2, 3]))
-def test_array_reader_accepts_and_rejects_what_loadtxt_does(tmp_path, body, dim):
-    # Whatever the body, load_points gives the bits or the error that
-    # np.loadtxt alone gives, also on two threads over 16-byte reads.
+def test_load_points_reads_float_of_every_token_or_raises_value_error(tmp_path, body, dim):
+    # Whatever the body, load_points raises ValueError (exit 2 in the CLI)
+    # or gives the point set of float(token) for every token of its rows.
     path = write_body(tmp_path / "f.csv", body.encode(), dim=dim)
-
-    def outcome(threads=1):
-        try:
-            return load_points(path, threads=threads).coords
-        except ValueError as exc:
-            return str(exc)
-
-    got = outcome()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sphere, "_CSV_CHUNK", 16)
-        split = outcome(threads=2)
-        mp.setattr(sphere, "_read_layout", lambda path, threads=1: None)
-        want = outcome()
-    for result in (got, split):
-        if isinstance(want, str):
-            assert result == want
-        else:
-            assert not isinstance(result, str) and same_bits(result, want)
+    try:
+        got = load_points(path)
+    except ValueError:
+        return
+    rows = [[float(tok) for tok in line.split(",")] for line in body.splitlines() if line.strip()]
+    assert same_bits(got.coords, PointSet(rows, got.provenance).coords)
 
 
-@needs_array_reader
-def test_load_points_memory_is_the_result_plus_a_chunk(tmp_path, threads=1):
-    # N = 2^20 rows of n = 2: the result is 16 MiB; the reader adds O(chunk)
-    # per thread.
+def test_load_points_memory_on_an_lf_file_is_under_twice_the_result(tmp_path):
+    # N = 2^20 rows of n = 2: the result is 16 MiB.  np.loadtxt grows one
+    # array as it reads, and the point set adopts it.
     N, n = 1 << 20, 2
     block = tmp_path / "block.csv"
     save_points(generate_uniform(n, 1 << 16, "random", seed=4), block)
@@ -1043,21 +884,15 @@ def test_load_points_memory_is_the_result_plus_a_chunk(tmp_path, threads=1):
     path.write_bytes(header + b"\n" + body * (N >> 16))
     tracemalloc.start()
     try:
-        ps = load_points(path, threads=threads)
+        ps = load_points(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ps.coords.shape == (N, n)
-    assert peak < 2.5 * N * n * 8, peak / 2**20
-
-
-@needs_array_reader
-def test_load_points_memory_on_two_threads(tmp_path):
-    test_load_points_memory_is_the_result_plus_a_chunk(tmp_path, threads=2)
+    assert peak < 2 * N * n * 8, peak / (N * n * 8)
 
 
 def test_load_points_memory_on_a_crlf_file_is_under_twice_the_result(tmp_path):
-    # CRLF rows go to np.loadtxt, whose array the point set adopts.
     N, n = 200_000, 3
     lf = tmp_path / "lf.csv"
     save_points(generate_uniform(n, N, "random", seed=6), lf)
@@ -1071,6 +906,61 @@ def test_load_points_memory_on_a_crlf_file_is_under_twice_the_result(tmp_path):
         tracemalloc.stop()
     assert ps.coords.shape == (N, n)
     assert peak < 2 * N * n * 8, peak / (N * n * 8)
+
+
+_NPZ_SETS = {
+    "planar": lambda: generate_qud(PlanarRationalDensity(1, 3), 3000, Driver("van_der_corput_base2")),
+    "zonal": lambda: generate_qud(ZonalDensity(3, 3, 0.8, np.array([1.0, 2.0, 2.0])), 2000,
+                                  Driver("halton_2_3", offset=7)),
+    "n5": lambda: generate_uniform(5, 2000, "random", seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NPZ_SETS))
+def test_npz_round_trip_is_bit_for_bit_and_its_bytes_depend_only_on_the_set(tmp_path, name):
+    ps = _NPZ_SETS[name]()
+    one, two, again = tmp_path / "one.npz", tmp_path / "two.npz", tmp_path / "again.npz"
+    assert save_points(ps, one) is None and save_points(ps, two, threads=2) is None
+    read = load_points(one)
+    assert same_bits(read.coords, ps.coords) and read.provenance == ps.provenance
+    assert not read.coords.flags.writeable
+    save_points(read, again)
+    assert one.read_bytes() == two.read_bytes() == again.read_bytes()
+    # The members np.load reads without a pickle: the array and the header
+    # line that a CSV of the same set starts with.
+    with zipfile.ZipFile(one) as zf:
+        assert [(i.filename, i.date_time) for i in zf.infolist()] == [
+            ("coords.npy", (1980, 1, 1, 0, 0, 0)), ("header.npy", (1980, 1, 1, 0, 0, 0))]
+    save_points(ps, tmp_path / "p.csv")
+    with np.load(one, allow_pickle=False) as z:
+        assert z["coords"].dtype == np.float64 and same_bits(z["coords"], ps.coords)
+        assert z["header"].ndim == 0
+        assert str(z["header"]) == (tmp_path / "p.csv").read_text().split("\n")[0]
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb"])
+def test_npz_save_rejects_a_line_break_before_it_opens_the_file(tmp_path, label):
+    path = tmp_path / "keep.npz"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match="line break"):
+        save_points(PointSet([[1.0, 0.0], [0.0, 1.0]], Provenance(label, 0)), path)
+    assert path.read_bytes() == b"old"
+
+
+def test_npz_load_memory_is_under_one_and_a_half_results(tmp_path):
+    # np.load reads the coords member into its array 256 KiB at a time,
+    # and the point set adopts that array.
+    N, n = 1 << 20, 2
+    path = tmp_path / "big.npz"
+    save_points(generate_uniform(n, N, "kronecker_s1"), path)
+    tracemalloc.start()
+    try:
+        ps = load_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.coords.shape == (N, n)
+    assert peak < 1.5 * N * n * 8, peak / (N * n * 8)
 
 
 def test_generate_uniform_memory_is_the_result_plus_a_block():
