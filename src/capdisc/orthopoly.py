@@ -19,7 +19,7 @@ MAX_DEGREE = 200
 # Dot products of rotated unit vectors can overshoot [-1, 1] by a few ulp.
 _DOMAIN_SLACK = 1e-12
 
-# Newton steps applied to each Golub-Welsch root.
+# Newton steps applied to each root from the singular values.
 _POLISH_STEPS = 2
 
 
@@ -38,24 +38,28 @@ def legendre_eval(d: int, k: int, t):
         (j + d - 2) P_{j+1}(t) = (2j + d - 2) t P_j(t) - j P_{j-1}(t)
 
     seeded with P_0 = 1 and P_1(t) = t, which keeps P_k(1) = 1 exact and
-    is numerically stable on [-1, 1].  Accepts a scalar or an ndarray.
+    is numerically stable on [-1, 1].  Accepts a scalar, for which it
+    returns a float, or an ndarray.
     """
     _check_dim_degree(d, k)
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + _DOMAIN_SLACK):
+    scalar = np.ndim(t) == 0
+    x = float(t) if scalar else np.asarray(t, dtype=float)
+    if np.any(np.abs(x) > 1.0 + _DOMAIN_SLACK):
         raise ValueError("argument outside [-1, 1]")
-    # Points within _DOMAIN_SLACK of [-1, 1] are clipped into it.
-    arr = np.clip(np.atleast_1d(arr), -1.0, 1.0)
-    p_prev = np.ones_like(arr)
-    p = arr if k else p_prev
+    # Points within _DOMAIN_SLACK of [-1, 1] are clipped into it.  A scalar
+    # runs the recurrence on Python floats, which round each operation as
+    # the array path does, so both give the same bits.
+    x = min(max(x, -1.0), 1.0) if scalar else np.clip(x, -1.0, 1.0)
+    p_prev = 1.0 if scalar else np.ones_like(x)
+    p = x if k else p_prev
     for j in range(1, k):
-        # ((2j + d - 2) t P_j - j P_{j-1}) / (j + d - 2), in place on the new array.
-        q = (2 * j + d - 2) * arr
+        # ((2j + d - 2) t P_j - j P_{j-1}) / (j + d - 2), arrays in place on the new one.
+        q = (2 * j + d - 2) * x
         q *= p
         q -= j * p_prev
         q /= j + d - 2
         p, p_prev = q, p
-    return float(p[0]) if np.ndim(t) == 0 else p
+    return p
 
 
 def _eval_with_derivative(d, k, t):
@@ -67,13 +71,22 @@ def _eval_with_derivative(d, k, t):
     k = np.broadcast_to(k, t.shape)
     p_prev, dp_prev = np.ones_like(t), np.zeros_like(t)
     p, dp = t.copy(), np.ones_like(t)
-    for j in range(1, int(k[0])):
-        m = np.count_nonzero(k > j)
-        denom = j + d - 2
-        tm, pm, dpm = t[:m], p[:m].copy(), dp[:m].copy()
-        p[:m] = ((2 * j + d - 2) * tm * pm - j * p_prev[:m]) / denom
-        dp[:m] = ((2 * j + d - 2) * (pm + tm * dpm) - j * dp_prev[:m]) / denom
+    steps = range(1, int(k[0]))
+    for j, m in zip(steps, np.searchsorted(-k, -np.array(steps), side="left")):
+        # As legendre_eval's step, on the m entries of degree > j, and its
+        # derivative ((2j + d - 2)(P_j + t P_j') - j P_{j-1}') / (j + d - 2).
+        tm, pm, dpm = t[:m], p[:m], dp[:m]
+        q = (2 * j + d - 2) * tm
+        q *= pm
+        q -= j * p_prev[:m]
+        q /= j + d - 2
+        dq = tm * dpm
+        dq += pm
+        dq *= 2 * j + d - 2
+        dq -= j * dp_prev[:m]
+        dq /= j + d - 2
         p_prev[:m], dp_prev[:m] = pm, dpm
+        p[:m], dp[:m] = q, dq
     return p, dp
 
 
@@ -90,30 +103,40 @@ def _newton_polish(d, k, roots):
     return x
 
 
-def _roots_eigen(d, k):
-    # Golub-Welsch: eigenvalues of the symmetrized Jacobi matrix of the
-    # recurrence t P_j = [(j+d-2) P_{j+1} + j P_{j-1}] / (2j+d-2).  The
-    # squared j = 0 entry (d-2)/((d-2) d) is 0/0 at d = 2; its limit 1/d
-    # is the same double for every d >= 3.
-    if k == 1:
-        return np.zeros(1)
+def _positive_roots(d, k):
+    # The k//2 positive roots, ascending, unpolished.  The Jacobi matrix of
+    # the recurrence t P_j = [(j+d-2) P_{j+1} + j P_{j-1}] / (2j+d-2) has a
+    # zero diagonal (the weight is even), so after ordering its rows and
+    # columns even indices first it is [[0, B], [B^T, 0]] with B the
+    # ceil(k/2) x floor(k/2) lower bidiagonal of its even rows and odd
+    # columns, and its eigenvalues (Golub-Welsch) are +-sigma, the singular
+    # values of B (Golub-Kahan), with one more 0 for odd k.  The squared
+    # j = 0 entry (d-2)/((d-2) d) is 0/0 at d = 2; its limit 1/d is the
+    # same double for every d >= 3.
     j = np.arange(1, k - 1, dtype=float)
     sq = (j + d - 2) * (j + 1) / ((2 * j + d - 2) * (2 * j + d))
     off = np.sqrt(np.concatenate(([1.0 / d], sq)))
-    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    b = np.zeros((k - k // 2, k // 2))
+    np.fill_diagonal(b, off[0::2])
+    np.fill_diagonal(b[1:], off[1::2])
+    return np.linalg.svd(b, compute_uv=False)[::-1]
 
 
 def legendre_roots(d: int, k: int) -> np.ndarray:
     """All k roots of the dimension-d Legendre polynomial, sorted ascending.
 
-    Diagonalizes the symmetric Jacobi matrix of the recurrence
-    (Golub-Welsch), then polishes every root with Newton steps so
-    residuals stay below 1e-12.  Valid for every d >= 2.
+    Takes the positive roots from the singular values of half the Jacobi
+    matrix of the recurrence, mirrors them (with an exact 0 for odd k),
+    then polishes every root with Newton steps so residuals stay below
+    1e-12.  The recurrence rounds -t as it rounds t, so the roots come out
+    exactly antisymmetric.  Valid for every d >= 2.
     """
     _check_dim_degree(d, k)
     if k < 1:
         raise ValueError("root extraction needs degree >= 1")
-    return np.sort(_newton_polish(d, k, _roots_eigen(d, k)))
+    sigma = _positive_roots(d, k)
+    roots = np.concatenate((-sigma[::-1], np.zeros(k % 2), sigma))
+    return np.sort(_newton_polish(d, k, roots))
 
 
 @dataclass(frozen=True)
@@ -156,15 +179,13 @@ def freak_heights(n: int, max_degree: int) -> FreakHeights:
     if max_degree > MAX_DEGREE:
         raise ValueError(f"max_degree capped at {MAX_DEGREE}")
 
-    # Every even degree's Golub-Welsch roots, highest degree first, share
-    # one Newton polish.
+    # Every even degree's positive roots, highest degree first, share one
+    # Newton polish.
     degrees = np.arange(max_degree, 1, -2)
-    root_degree = np.repeat(degrees, degrees)
-    roots = _newton_polish(
-        n + 2, root_degree, np.concatenate([_roots_eigen(n + 2, int(k)) for k in degrees])
+    root_degree = np.repeat(degrees, degrees // 2)
+    heights = _newton_polish(
+        n + 2, root_degree, np.concatenate([_positive_roots(n + 2, int(k)) for k in degrees])
     )
-    positive = roots > 0.0
-    heights, root_degree = roots[positive], root_degree[positive]
     order = np.argsort(heights)
     entries = tuple(map(FreakHeight, heights[order].tolist(), root_degree[order].tolist()))
     return FreakHeights(dim=n, max_degree=max_degree, entries=entries)

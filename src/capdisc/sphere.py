@@ -556,6 +556,16 @@ def _load_npz(path):
             raise ValueError("an .npz point file must be a zip archive")
         fh.seek(0)
         try:
+            # np.load would also inflate LZMA and bzip2 members, whose
+            # decoders raise their own errors (or are missing) on bad data.
+            with zipfile.ZipFile(fh) as zf:
+                for info in zf.infolist():
+                    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+                        raise ValueError(
+                            f"unreadable .npz point file: member {info.filename} uses zip "
+                            f"method {info.compress_type}; only stored and deflated are read"
+                        )
+            fh.seek(0)
             with np.load(fh, allow_pickle=False) as z:
                 header, coords = z["header"], z["coords"]
         except (KeyError, zipfile.BadZipFile, zlib.error) as exc:

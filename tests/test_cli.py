@@ -901,11 +901,14 @@ def test_fewer_than_one_thread_exits_two_for_every_command(tmp_path, capsys, arg
         assert captured.err == f"capdisc: error: need at least one thread, got threads={threads}\n"
 
 
-def write_members(path, members):
-    """A zip of .npy members (name, array), written as save_points does."""
+def write_members(path, members, compression=zipfile.ZIP_STORED):
+    """A zip of .npy members (name, array), written as save_points does
+    unless another zip compression method is given."""
     with zipfile.ZipFile(path, "w") as zf:
         for name, arr in members:
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+            info = zipfile.ZipInfo(f"{name}.npy")
+            info.compress_type = compression
+            with zf.open(info, "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, arr, allow_pickle=arr.dtype.hasobject)
 
 
@@ -926,6 +929,8 @@ _BAD_NPZ = {
     "dim-mismatch": "do not match declared dim=2",
     "bad-header": "malformed point-set header",
     "pickled": "allow_pickle=False",
+    "bad-lzma": "member coords.npy uses zip method 14",
+    "bad-bzip2": "member coords.npy uses zip method 12",
 }
 
 
@@ -944,6 +949,17 @@ def test_bad_npz_exits_two_with_one_error_line(tmp_path, capsys, case):
         data = bytearray(path.read_bytes())
         start = data.index(b"coords.npy") + len("coords.npy") + 20  # past its zip64 extra
         data[start : start + 8] = b"\xff" * 8
+        path.write_bytes(bytes(data))
+    elif case in ("bad-lzma", "bad-bzip2"):
+        # Members numpy never writes but zipfile reads, the stream corrupted
+        # as above: their decoders would raise lzma.LZMAError and OSError.
+        module, method = {"bad-lzma": ("lzma", zipfile.ZIP_LZMA),
+                          "bad-bzip2": ("bz2", zipfile.ZIP_BZIP2)}[case]
+        pytest.importorskip(module)
+        write_members(path, [("coords", _UNIT), ("header", _HEADER)], method)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"coords.npy") + len("coords.npy") + 20
+        data[start : start + 30] = b"\xff" * 30
         path.write_bytes(bytes(data))
     elif case == "csv":
         path.write_text("# dim=2 generator=hand seed=0\n1,0\n")

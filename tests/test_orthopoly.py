@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.special import eval_gegenbauer
 
 from capdisc import freak_heights, legendre_eval, legendre_roots
-from capdisc.orthopoly import MAX_DEGREE, _newton_polish, _roots_eigen
+from capdisc.orthopoly import _DOMAIN_SLACK, MAX_DEGREE, _newton_polish, _positive_roots
 
 
 # Closed-form oracles for k <= 4, obtained by Gram-Schmidt against the
@@ -119,6 +119,21 @@ def test_domain_error():
         legendre_eval(1, 2, 0.0)
     with pytest.raises(ValueError):
         legendre_eval(3, -1, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_scalar_and_array_eval_agree_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    edge = 1.0 + _DOMAIN_SLACK / 2
+    t = np.concatenate((rng.uniform(-1.0, 1.0, 40), [0.0, -0.0, 1.0, -1.0, edge, -edge]))
+    for k in (0, 1, 2, 3, 17, 40, 200):
+        array = legendre_eval(d, k, t)
+        scalar = [legendre_eval(d, k, float(x)) for x in t]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(np.array(scalar).view(np.int64), array.view(np.int64)), (d, k)
+    assert legendre_eval(d, 3, edge) == 1.0 and legendre_eval(d, 3, -edge) == -1.0
+    with pytest.raises(ValueError):
+        legendre_eval(d, 3, 1.5)
 
 
 def test_roots_known_values():
@@ -236,12 +251,25 @@ def test_freak_heights_keep_every_positive_root(n):
 
 
 def test_polish_with_per_root_degrees_matches_one_degree_at_a_time():
+    # Degree k has k // 2 positive roots.
     for d in (3, 5, 7):
-        degrees = np.array([13, 8, 8, 3, 1])
-        raw = [_roots_eigen(d, int(k)) for k in degrees]
-        got = _newton_polish(d, np.repeat(degrees, degrees), np.concatenate(raw))
+        degrees = np.array([13, 8, 8, 3, 2])
+        raw = [_positive_roots(d, int(k)) for k in degrees]
+        assert [len(r) for r in raw] == [6, 4, 4, 1, 1]
+        got = _newton_polish(d, np.repeat(degrees, degrees // 2), np.concatenate(raw))
         want = np.concatenate([_newton_polish(d, int(k), r) for k, r in zip(degrees, raw)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_roots_are_exactly_antisymmetric(d):
+    # The polynomial has the parity of k and the recurrence rounds -t as it
+    # rounds t, so the mirrored start points stay mirrored bit for bit.
+    for k in (*range(1, 10), 24, 63, 128, 199, 200):
+        r = legendre_roots(d, k)
+        assert np.array_equal(r, -r[::-1]), (d, k)
+        if k % 2:
+            assert r[k // 2] == 0.0, (d, k)
 
 
 def test_freak_heights_degree_two():
