@@ -172,16 +172,31 @@ class PointSet:
         ps._own(arr, provenance)
         return ps
 
+    @classmethod
+    def _adopt_unit(cls, arr: np.ndarray, provenance: Provenance) -> "PointSet":
+        """A point set over `arr`, an (N, n) float64 array, N >= 1, whose
+        rows the caller has built finite and unit to a few ulp, far inside
+        _UNIT_TOL, so _own would change no bit of it: it is only marked
+        read-only, not checked or copied."""
+        ps = cls.__new__(cls)
+        ps._hold(arr, provenance)
+        return ps
+
     def _own(self, arr, provenance):
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ValueError("coords must be an (N, n) array with n >= 2")
         if arr.shape[0] < 1:
             raise ValueError("a point set needs at least one point")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite (nan or inf) coordinate in coords")
-        # Row blocks keep the norm temporaries O(block) beside the array.
+        # Row blocks keep the finiteness flags and the norm temporaries
+        # O(block) beside the array.
         for lo in range(0, arr.shape[0], _SWEEP_BLOCK):
-            _normalize_rows(arr[lo : lo + _SWEEP_BLOCK])
+            block = arr[lo : lo + _SWEEP_BLOCK]
+            if not np.all(np.isfinite(block)):
+                raise ValueError("non-finite (nan or inf) coordinate in coords")
+            _normalize_rows(block)
+        self._hold(arr, provenance)
+
+    def _hold(self, arr, provenance):
         arr.setflags(write=False)
         self.coords = arr
         self.provenance = provenance

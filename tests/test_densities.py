@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import capdisc.densities
+import capdisc.sphere
 from capdisc import (
     Cap,
     Driver,
     PlanarRationalDensity,
+    PointSet,
     ZonalDensity,
     cap_measure,
     fibonacci_sphere,
@@ -435,6 +437,41 @@ def test_blocked_generation_under_thread_stress(monkeypatch):
         assert time.perf_counter() - t0 < 60.0
     finally:
         sys.setswitchinterval(interval)
+
+
+# generate_qud hands its rows to PointSet without the check and the
+# normalization of PointSet._own.  Its rows are unit by construction: at
+# most 4.4e-16 off (2 ulp, tilted axes) on numpy 2.4.  This bound leaves a
+# factor 9 for other sin and cos (numpy 2.0's SIMD ones) and is still 250
+# times inside sphere._UNIT_TOL, below which _own keeps a row's bits.
+GENERATED_UNIT_ERROR = 4e-15
+
+UNIT_ROW_CASES = [
+    (PlanarRationalDensity(1, 3), "van_der_corput_base2"),
+    (PlanarRationalDensity(2, 5), "kronecker_golden"),
+] + [
+    (zonal_density(c=c, axis=axis, k=k), "halton_2_3")
+    for k in (1, 3, 21, 199) for c in (0.5, 0.999) for axis in ((0.0, 0.0, 1.0), (1.0, 2.0, 2.0))
+]
+
+
+@pytest.mark.parametrize("d, kind", UNIT_ROW_CASES)
+def test_generated_rows_are_finite_unit_and_kept_as_pointset_would_keep_them(monkeypatch, d, kind):
+    assert GENERATED_UNIT_ERROR < 1e-2 * capdisc.sphere._UNIT_TOL
+    block = 1 << 10
+    monkeypatch.setattr(capdisc.densities, "_SWEEP_BLOCK", block)
+    for offset in (0, 7919):
+        for n in (block - 1, block + 1):
+            for threads in (1, 2, 3):
+                ps = generate_qud(d, n, Driver(kind, offset), threads=threads)
+                x = ps.coords
+                assert x.shape == (n, d._point_dim) and not x.flags.writeable
+                assert np.all(np.isfinite(x))
+                error = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0).max()
+                assert error <= GENERATED_UNIT_ERROR, (offset, n, threads, error)
+                # What PointSet's own check and normalization make of them.
+                again = PointSet(x, ps.provenance).coords
+                assert np.array_equal(again.view(np.int64), x.view(np.int64)), (offset, n, threads)
 
 
 def test_zonal_mass_is_the_weight_mass_of_the_two_sphere():

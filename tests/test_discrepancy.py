@@ -29,7 +29,7 @@ from capdisc import (
     generate_uniform,
     telescoping_check,
 )
-from capdisc.discrepancy import _arc_ends, _cap_counts, _tangent_basis, _tile_rows, direction_grid
+from capdisc.discrepancy import _arc_ends, _cap_counts, _tile_rows, direction_grid
 
 TWO_PI = 2.0 * math.pi
 S5 = 1.0 / math.sqrt(5.0)
@@ -856,78 +856,72 @@ def test_cap_counts_in_word_lanes_match_per_tile_counts(monkeypatch, m_dirs):
         assert np.array_equal(_cap_counts(coords, dirs, s, threads), want), threads
 
 
-def _chunked_cap_search(ps, s, M, refine, directions=None):
-    """The cap search as it was before one count kernel served it.
-
-    The grid is scanned 256 directions at a time, each chunk counted over
-    tiles of (1 << 17) // 256 points, and the chunk maxima are reduced with
-    a strict ">"; the hill climb builds its probes one by one.  Returns
-    (value, center, trace).
-    """
-    coords, n = ps.coords, ps.dim
-    target = cap_measure(n, s)
-    dirs = direction_grid(n, M) if directions is None else directions
-
-    def counts(chunk):
+def _chunked_deviations(ps, s, dirs):
+    """|count/N - mu(s)| of the closed cap around each row of dirs, counted
+    256 directions at a time over tiles of (1 << 17) // 256 points with
+    np.count_nonzero: none of _cap_counts' tiles, uint8 runs or word lanes."""
+    coords, target = ps.coords, cap_measure(ps.dim, s)
+    devs = []
+    for c0 in range(0, len(dirs), 256):
+        chunk = dirs[c0 : c0 + 256]
         rows = max(1, (1 << 17) // len(chunk))
         total = np.zeros(len(chunk), dtype=np.int64)
-        for p0 in range(0, coords.shape[0], rows):
+        for p0 in range(0, len(coords), rows):
             total += np.count_nonzero(coords[p0 : p0 + rows] @ chunk.T >= s, axis=0)
-        return total
-
-    best_val, best_idx = -1.0, -1
-    for c0 in range(0, dirs.shape[0], 256):
-        dev = np.abs(counts(dirs[c0 : c0 + 256]) / ps.size - target)
-        i = int(np.argmax(dev))
-        if float(dev[i]) > best_val:
-            best_val, best_idx = float(dev[i]), c0 + i
-    u = dirs[best_idx]
-    trace = [best_val]
-    step, current = 0.1, best_val
-    for _ in range(refine):
-        if step < 1e-4:
-            break
-        probes = []
-        for tau in _tangent_basis(u):
-            probes.append(np.cos(step) * u + np.sin(step) * tau)
-            probes.append(np.cos(step) * u - np.sin(step) * tau)
-        probes = np.array(probes)
-        probes /= np.linalg.norm(probes, axis=1)[:, None]
-        devs = np.abs(counts(probes) / ps.size - target)
-        i = int(np.argmax(devs))
-        if devs[i] > current:
-            current, u = float(devs[i]), probes[i]
-        else:
-            step *= 0.5
-        trace.append(current)
-    return current, u, trace
+        devs.append(np.abs(total / ps.size - target))
+    return np.concatenate(devs)
 
 
-def _assert_bits_equal(report, old):
-    value, center, trace = old
-    assert np.array_equal(np.array([report.value]).view(np.int64),
-                          np.array([value]).view(np.int64))
-    assert np.array_equal(np.array(report.witness["center"]).view(np.int64),
-                          np.asarray(center, dtype=float).view(np.int64))
-    assert np.array_equal(np.array(report.trace).view(np.int64), np.array(trace).view(np.int64))
+def _assert_witness_oracle(ps, s, dirs, rep, refine):
+    """The search's report, checked against recounts, not against a copy of
+    the search.
+
+    Its first value is the chunked scan's largest deviation over the grid
+    `dirs`, and while no round of the climb raises the value its witness is
+    the first grid row with that deviation.  The rounds never lower the
+    value, and the last one is the deviation of the witness cap, recounted
+    as ps.coords @ center >= s: a point that this product's rounding may
+    put on either side (within 2^-48 of s) may count either way."""
+    devs = _chunked_deviations(ps, s, dirs)
+    first = int(np.argmax(devs))
+    center = np.array(rep.witness["center"])
+    assert rep.trace[0] == devs[first]
+    assert 1 <= len(rep.trace) <= refine + 1
+    assert all(a <= b for a, b in zip(rep.trace, rep.trace[1:])), rep.trace
+    assert rep.value == rep.trace[-1] and rep.witness["height"] == s
+    if rep.value == rep.trace[0]:
+        assert np.array_equal(center.view(np.int64), dirs[first].view(np.int64))
+    else:
+        assert abs(np.linalg.norm(center) - 1.0) <= 1e-15
+    x_dot_u = ps.coords @ center
+    lo = int(np.count_nonzero(x_dot_u >= s + 2.0**-48))
+    hi = int(np.count_nonzero(x_dot_u >= s - 2.0**-48))
+    assert hi - lo <= 2, (lo, hi)
+    target = cap_measure(ps.dim, s)
+    assert any(abs(c / ps.size - target) == rep.value for c in range(lo, hi + 1)), (lo, hi)
 
 
 @pytest.mark.parametrize("s", [S5, 0.0])
 def test_cap_search_bit_identical_to_the_chunked_scan_on_the_zonal_set(s):
     d = ZonalDensity(dim=3, degree=3, coefficient=0.8, axis=np.array([0.0, 0.0, 1.0]))
     ps = generate_qud(d, 100_000, Driver("halton_2_3"))
-    old = _chunked_cap_search(ps, s, 2000, 20)
-    for threads in (1, 2, 3):
-        _assert_bits_equal(cap_discrepancy_fixed_height(ps, s, 2000, refine=20, threads=threads), old)
+    reps = [cap_discrepancy_fixed_height(ps, s, 2000, refine=20, threads=t) for t in (1, 2, 3)]
+    _assert_witness_oracle(ps, s, direction_grid(3, 2000), reps[0], 20)
+    # At the freak height no probe beats the grid row; at 0 the climb moves.
+    assert (reps[0].trace[-1] > reps[0].trace[0]) == (s == 0.0)
+    assert reps[1] == reps[0] and reps[2] == reps[0]
 
 
 @pytest.mark.parametrize("M", [1, 255, 256, 257, 2000])
 @pytest.mark.parametrize("n, n_pts, s", [(4, 5_000, 0.1), (5, 20_000, -0.2)])
 def test_cap_search_bit_identical_to_the_chunked_scan(n, n_pts, s, M):
     ps = generate_uniform(n, n_pts, "random", seed=n * M)
-    old = _chunked_cap_search(ps, s, M, 8)
-    for threads in (1, 2, 3):
-        _assert_bits_equal(cap_discrepancy_fixed_height(ps, s, M, refine=8, threads=threads), old)
+    dirs = direction_grid(n, M)
+    for refine in (0, 8):
+        reps = [cap_discrepancy_fixed_height(ps, s, M, refine=refine, threads=t) for t in (1, 2, 3)]
+        _assert_witness_oracle(ps, s, dirs, reps[0], refine)
+        assert (reps[0].trace[-1] > reps[0].trace[0]) == (refine > 0)
+        assert reps[1] == reps[0] and reps[2] == reps[0]
 
 
 def _assert_witness_is_the_counted_row(ps, s, M, threads):
@@ -978,7 +972,7 @@ def test_cap_scan_keeps_the_first_of_tied_maxima(threads):
     rep = cap_discrepancy_fixed_height(ps, 0.8, M=400, directions=dirs, threads=threads)
     assert rep.value == 0.5 - cap_measure(3, 0.8)
     assert rep.witness["center"] == [0.0, 0.0, 1.0]
-    _assert_bits_equal(rep, _chunked_cap_search(ps, 0.8, 400, 0, directions=dirs))
+    _assert_witness_oracle(ps, 0.8, dirs, rep, 0)
 
 
 def test_cap_search_memory_does_not_grow_with_n():

@@ -407,6 +407,13 @@ def test_pointset_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             PointSet([[bad, 1.0], [1.0, 0.0]], Provenance("non-finite", 0))
+        # Checked block by block: in the first row past a block, and in the last.
+        rows = np.ones((sphere._SWEEP_BLOCK + 2, 2))
+        for i in (sphere._SWEEP_BLOCK, -1):
+            late = rows.copy()
+            late[i, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                PointSet(late, Provenance("non-finite", 0))
     ps = PointSet([[3.0, 4.0]], Provenance("scaled", 0))
     assert np.allclose(ps.coords, [[0.6, 0.8]])
     assert ps.size == 1
@@ -949,7 +956,10 @@ def test_npz_save_rejects_a_line_break_before_it_opens_the_file(tmp_path, label)
 
 def test_npz_load_memory_is_under_one_and_a_half_results(tmp_path):
     # np.load reads the coords member into its array 256 KiB at a time,
-    # and the point set adopts that array.
+    # and the point set adopts that array.  It checks finiteness and norms
+    # one block of rows at a time, so beside the array a load holds one
+    # block's squares and norms (1.5 MiB; 1.57 measured).  A whole-array
+    # np.isfinite held N * n more bytes (2 MiB here; 2.04 measured).
     N, n = 1 << 20, 2
     path = tmp_path / "big.npz"
     save_points(generate_uniform(n, N, "kronecker_s1"), path)
@@ -961,6 +971,8 @@ def test_npz_load_memory_is_under_one_and_a_half_results(tmp_path):
         tracemalloc.stop()
     assert ps.coords.shape == (N, n)
     assert peak < 1.5 * N * n * 8, peak / (N * n * 8)
+    block = sphere._SWEEP_BLOCK * (n + 1) * 8
+    assert peak - N * n * 8 < 1.25 * block, (peak - N * n * 8) / 2**20
 
 
 def test_generate_uniform_memory_is_the_result_plus_a_block():
