@@ -2,8 +2,9 @@
 runs with file-based I/O.
 
 Every command takes --json and --no-timestamp; gen also takes --out and
---threads, disc --threads.  Every JSON report embeds the flags as given
-(``threads`` is null when defaulted), and floats are written in Python's
+--threads, disc --threads.  Every JSON report embeds the flags as given,
+all but --json (``threads`` is null when defaulted), so one run written to
+two paths gives the same bytes, and floats are written in Python's
 shortest round-trip form, so each double, -0.0 included, reads back as the
 same float.  Exit codes: 0 success, 1 failed verification, 2 configuration
 errors.
@@ -51,8 +52,9 @@ def dumps_report(obj) -> str:
 
 
 def _emit(args, command, result) -> None:
-    # Every parsed value is a str, int, float, bool or None.
-    config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
+    # Every parsed value is a str, int, float, bool or None.  --json names
+    # where the report goes, not what it holds, so config leaves it out.
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "json")}
     envelope = {"command": command, "config": config}
     if not args.no_timestamp:
         envelope["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -53,52 +53,47 @@ def legendre_eval(d: int, k: int, t):
     p_prev = 1.0 if scalar else np.ones_like(x)
     p = x if k else p_prev
     for j in range(1, k):
-        # ((2j + d - 2) t P_j - j P_{j-1}) / (j + d - 2), arrays in place on the new one.
-        q = (2 * j + d - 2) * x
-        q *= p
-        q -= j * p_prev
-        q /= j + d - 2
-        p, p_prev = q, p
+        p, p_prev = _recurrence_step(d, j, x, p, p_prev), p
     return p
 
 
-def _eval_with_derivative(d, k, t):
-    """P_k and P_k' at each entry of the array t, by differentiating the recurrence.
-
-    k is one degree, or one degree per entry of t sorted highest first; step
-    j of the recurrence then runs on the leading entries of degree > j.
-    """
-    k = np.broadcast_to(k, t.shape)
-    p_prev, dp_prev = np.ones_like(t), np.zeros_like(t)
-    p, dp = t.copy(), np.ones_like(t)
-    steps = range(1, int(k[0]))
-    for j, m in zip(steps, np.searchsorted(-k, -np.array(steps), side="left")):
-        # As legendre_eval's step, on the m entries of degree > j, and its
-        # derivative ((2j + d - 2)(P_j + t P_j') - j P_{j-1}') / (j + d - 2).
-        tm, pm, dpm = t[:m], p[:m], dp[:m]
-        q = (2 * j + d - 2) * tm
-        q *= pm
-        q -= j * p_prev[:m]
-        q /= j + d - 2
-        dq = tm * dpm
-        dq += pm
-        dq *= 2 * j + d - 2
-        dq -= j * dp_prev[:m]
-        dq /= j + d - 2
-        p_prev[:m], dp_prev[:m] = pm, dpm
-        p[:m], dp[:m] = q, dq
-    return p, dp
+def _recurrence_step(d, j, t, p, p_prev):
+    """P_{j+1}(t) = ((2j + d - 2) t P_j - j P_{j-1}) / (j + d - 2), arrays in
+    place on the new one."""
+    q = (2 * j + d - 2) * t
+    q *= p
+    q -= j * p_prev
+    q /= j + d - 2
+    return q
 
 
 def _newton_polish(d, k, roots):
-    # k as in _eval_with_derivative.  A root whose derivative vanishes
-    # keeps its value from then on.
+    """Newton steps on roots of the dimension-d Legendre polynomial of degree k.
+
+    k is one degree, or one degree per root sorted highest first; step j of
+    the recurrence then runs on the leading roots of degree > j.  The slope
+    comes from the last two values of the recurrence,
+
+        (1 - t^2) P_k'(t) = k (P_{k-1}(t) - t P_k(t)),
+
+    which does not cancel near a root, where P_k is small and P_{k-1} is
+    not.  A root whose slope is 0, or not finite (the formula is 0/0 at
+    t = +-1), keeps its value from then on.
+    """
     x = np.array(roots, dtype=float)
+    k = np.broadcast_to(k, x.shape)
+    steps = range(1, int(k.max(initial=0)))
+    counts = np.searchsorted(-k, -np.array(steps), side="left")
     moving = np.ones(x.shape, dtype=bool)
     for _ in range(_POLISH_STEPS):
-        p, dp = _eval_with_derivative(d, k, x)
-        moving &= dp != 0.0
-        step = x - p / np.where(moving, dp, 1.0)
+        p_prev, p = np.ones_like(x), x.copy()
+        for j, m in zip(steps, counts):
+            q = _recurrence_step(d, j, x[:m], p[:m], p_prev[:m])
+            p_prev[:m], p[:m] = p[:m], q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = k * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        moving &= np.isfinite(slope) & (slope != 0.0)
+        step = x - p / np.where(moving, slope, 1.0)
         x = np.where(moving, np.clip(step, -1.0, 1.0), x)
     return x
 
@@ -125,18 +120,17 @@ def _positive_roots(d, k):
 def legendre_roots(d: int, k: int) -> np.ndarray:
     """All k roots of the dimension-d Legendre polynomial, sorted ascending.
 
-    Takes the positive roots from the singular values of half the Jacobi
-    matrix of the recurrence, mirrors them (with an exact 0 for odd k),
-    then polishes every root with Newton steps so residuals stay below
-    1e-12.  The recurrence rounds -t as it rounds t, so the roots come out
-    exactly antisymmetric.  Valid for every d >= 2.
+    Takes the k // 2 positive roots from the singular values of half the
+    Jacobi matrix of the recurrence, polishes them with Newton steps so
+    residuals stay below 1e-12, and mirrors them, with an exact 0 for odd
+    k.  The recurrence rounds -t as it rounds t, so polishing the negative
+    half would give these bits negated.  Valid for every d >= 2.
     """
     _check_dim_degree(d, k)
     if k < 1:
         raise ValueError("root extraction needs degree >= 1")
-    sigma = _positive_roots(d, k)
-    roots = np.concatenate((-sigma[::-1], np.zeros(k % 2), sigma))
-    return np.sort(_newton_polish(d, k, roots))
+    sigma = _newton_polish(d, k, _positive_roots(d, k))
+    return np.concatenate((-sigma[::-1], np.zeros(k % 2), sigma))
 
 
 @dataclass(frozen=True)

@@ -689,7 +689,7 @@ def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
         for name, argv in commands.items():
             if name == "circle":
                 capdisc.cli._held = None  # so that a parse runs on the round's threads
-            out = tmp_path / f"{name}.json"  # config records the path
+            out = tmp_path / f"{name}_{cpus}.json"  # config leaves the path out
             assert main(argv + ["--json", str(out), "--no-timestamp"]) == 0, argv
             reports[name, cpus] = out.read_bytes()
     # Each round's arc reuses the set its gen wrote, after a check of the
@@ -698,6 +698,26 @@ def test_reports_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
                     for name in ("generate_qud", "source_unchanged", "load_points")]
     for name in commands:
         assert reports[name, 1] == reports[name, 3], name
+
+
+def test_one_run_written_to_two_json_paths_gives_the_same_bytes(tmp_path):
+    pts = str(tmp_path / "planar.csv")
+    commands = [
+        ["gen", "--density", "planar", "--p", "1", "--q", "3", "--N", "300", "--out", pts],
+        ["disc", "--in", pts, "--family", "arc-fixed", "--a", "0.3", "--threads", "1"],
+        ["freak-heights", "--n", "3", "--max-degree", "6"],
+        ["eigenvalue", "--n", "3", "--k", "3", "--s", "0.5"],
+        ["verify-caps", "--n", "3", "--k", "3", "--c", "0.8", "--s", S5],
+    ]
+    for i, argv in enumerate(commands):
+        paths = [tmp_path / f"a{i}.json", tmp_path / "sub" / f"b{i}.json"]
+        paths[1].parent.mkdir(exist_ok=True)
+        for path in paths:
+            assert main(argv + ["--json", str(path), "--no-timestamp"]) == 0, argv
+        first = paths[0].read_bytes()
+        assert paths[1].read_bytes() == first, argv
+        assert "json" not in json.loads(first)["config"], argv
+        assert json.loads(first)["config"]["no_timestamp"] is True, argv
 
 
 def count_loads(monkeypatch):

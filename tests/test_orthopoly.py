@@ -261,6 +261,46 @@ def test_polish_with_per_root_degrees_matches_one_degree_at_a_time():
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), d
 
 
+def rational_legendre_with_derivative(d, k, t):
+    """P_{k-1}, P_k and P_k' at the Fraction t, by the recurrence and the
+    recurrence differentiated term by term."""
+    p_prev, p = Fraction(1), t
+    dp_prev, dp = Fraction(0), Fraction(1)
+    for j in range(1, k):
+        p_prev, p, dp_prev, dp = (
+            p,
+            ((2 * j + d - 2) * t * p - j * p_prev) / (j + d - 2),
+            dp,
+            ((2 * j + d - 2) * (p + t * dp) - j * dp_prev) / (j + d - 2),
+        )
+    return p_prev, p, dp
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_slope_from_two_recurrence_values_is_exact(d):
+    # The polish takes P_k' from (1 - t^2) P_k' = k (P_{k-1} - t P_k); d = 2
+    # is the Chebyshev case and k = 1 has P_0 = 1 for P_{k-1}.
+    ts = [Fraction(v) for v in ("0", "1/2", "-1/2", "1/3", "-2/7", "5/9", "99/100", "1", "-1")]
+    for k in range(1, 13):
+        for t in ts:
+            p_prev, p, dp = rational_legendre_with_derivative(d, k, t)
+            assert (1 - t * t) * dp == k * (p_prev - t * p), (d, k, t)
+
+
+def test_polish_keeps_the_ends_finite_and_a_zero_root_at_zero():
+    # At t = +-1 the slope formula is 0/0; such an input stays where it is.
+    # An odd degree's root 0 has P_k(0) = 0 exactly and stays +0.0.
+    for d in (2, 3, 5):
+        for k in (1, 3, 7, 8):
+            got = _newton_polish(d, k, np.array([-1.0, 0.0, 1.0]))
+            assert np.all(np.isfinite(got)), (d, k, got)
+            assert got[0] == -1.0 and got[2] == 1.0, (d, k, got)
+            if k % 2:
+                assert got[1] == 0.0 and not np.signbit(got[1]), (d, k, got)
+        got = _newton_polish(d, np.array([9, 7, 5, 3]), np.array([1.0, 0.0, -1.0, 0.0]))
+        assert np.array_equal(got, [1.0, 0.0, -1.0, 0.0]) and not np.any(np.signbit(got[1::2])), d
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
 def test_roots_are_exactly_antisymmetric(d):
     # The polynomial has the parity of k and the recurrence rounds -t as it
